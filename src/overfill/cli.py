@@ -355,8 +355,10 @@ def _decode_weights_for_mode(run_dir: Path, mode: str):
         w = _load_model(run_dir, "base")
         return w, None
     if mode == "pruned":
-        return _load_model(run_dir, "pruned" if (
-            run_dir / "checkpoints" / "pruned.ovfl").exists() else "overfill"), None
+        # The standalone pruned baseline only, never the overfill-trained decoder.
+        _require(run_dir / "checkpoints" / "pruned.ovfl",
+                 "pruned baseline checkpoint (written by `train-base --tag pruned`)")
+        return _load_model(run_dir, "pruned"), None
     if mode == "overfill":
         return _load_model(run_dir, "base"), _load_model(run_dir, "overfill")
     raise DataError(f"unknown mode {mode!r}")

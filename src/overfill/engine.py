@@ -41,8 +41,6 @@ class GenSession:
     handoff_len: int = 0            # prompt length M; cache rows < M-1 written by prefill weights
     prefill_calls: int = 0
     decode_calls: int = 0
-    prefill_writer: int = 0
-    decode_writer: int = 0
 
 
 def sample(logits, temperature: float, rng: np.random.Generator) -> int:
@@ -83,9 +81,7 @@ def _run_session(prefill_w: Weights, decode_w: Weights, mode: str,
     rng = make_rng(params.seed)
     cache = KVCache.for_config(prefill_w.config,
                                dtype=prefill_w.token_embedding.dtype)
-    session = GenSession(mode=mode, cache=cache, position=0,
-                         handoff_len=len(prompt),
-                         prefill_writer=id(prefill_w), decode_writer=id(decode_w))
+    session = GenSession(mode=mode, cache=cache, position=0, handoff_len=len(prompt))
 
     if first_token_from_full and mode == "overfill":
         # Alternative handoff: the prefill model consumes the whole prompt and

@@ -97,7 +97,7 @@ def cache_shape(config: ModelConfig) -> tuple[int, int, int]:
 
 
 class KVCache:
-    """Per-layer key/value history with a single append-only writer.
+    """Per-layer key/value history, appended one block of positions at a time.
 
     Shapes depend only on the attention geometry of the originating full
     model; entries written by full and pruned weights are interchangeable.
@@ -109,7 +109,6 @@ class KVCache:
         self.n_kv_heads = n_kv_heads
         self.head_dim = head_dim
         self.filled_len = 0
-        self.writer_ids: list[int] = []
         self._keys = [np.zeros((capacity, n_kv_heads, head_dim), dtype=dtype)
                       for _ in range(n_layers)]
         self._values = [np.zeros((capacity, n_kv_heads, head_dim), dtype=dtype)
@@ -140,17 +139,13 @@ class KVCache:
                 grown[: self.filled_len] = buf[: self.filled_len]
                 buf_list[i] = grown
 
-    def append_block(self, new_keys: Sequence[np.ndarray],
-                     new_values: Sequence[np.ndarray], writer_id: int) -> None:
-        """Append one block of T positions, all layers at once."""
-        t = new_keys[0].shape[0]
-        self._grow(self.filled_len + t)
-        lo, hi = self.filled_len, self.filled_len + t
-        for layer in range(self.n_layers):
-            self._keys[layer][lo:hi] = new_keys[layer]
-            self._values[layer][lo:hi] = new_values[layer]
-        self.filled_len = hi
-        self.writer_ids.extend([writer_id] * t)
+    def append_block(self, t: int) -> int:
+        """Extend every layer by t positions and return the old length; the
+        caller fills rows [old length, filled_len) of keys() and values()."""
+        lo = self.filled_len
+        self._grow(lo + t)
+        self.filled_len = lo + t
+        return lo
 
 
 @dataclass
@@ -279,8 +274,9 @@ def run_block(w: Weights, tokens: Sequence[int], cache: KVCache,
     """Causal forward over a block of tokens appended after the cache history.
 
     Returns the post-final-norm hidden states [T, hidden_dim] and appends
-    exactly one K/V row per token per layer. History entries already in the
-    cache enter attention as constants, so no gradient can flow into them.
+    exactly one K/V row per token per layer, written into the cache before
+    each layer attends over it. History entries already in the cache enter
+    attention as constants, so no gradient can flow into them.
     The optional tap observes (layer, point, activation) at the three
     channel-scoring points: "pre_attn", "pre_ffn", "ffn_inner".
     """
@@ -295,37 +291,37 @@ def run_block(w: Weights, tokens: Sequence[int], cache: KVCache,
         raise ValueError(f"token id out of range for vocab {cfg.vocab_size}")
 
     t = ids.size
-    history = cache.filled_len
-    positions = np.arange(history, history + t)
     dh = cfg.head_dim
+    history = cache.append_block(t)
+    positions = np.arange(history, history + t)
     mask = _causal_mask(t, history, w.token_embedding.dtype) if t > 1 else None
+    try:
+        x = tk.embedding(w.token_embedding, ids)
+        for li, lw in enumerate(w.layers):
+            h = tk.rms_norm(x, lw.attn_norm_gamma, cfg.norm_eps)
+            if tap is not None:
+                tap(li, "pre_attn", h.data)
+            q = tk.rope_rows(tk.matmul(h, lw.w_q), positions, dh, cfg.rope_theta)
+            k = tk.rope_rows(tk.matmul(h, lw.w_k), positions, dh, cfg.rope_theta)
+            v = tk.matmul(h, lw.w_v)
 
-    x = tk.embedding(w.token_embedding, ids)
-    new_keys, new_values = [], []
-    for li, lw in enumerate(w.layers):
-        h = tk.rms_norm(x, lw.attn_norm_gamma, cfg.norm_eps)
-        if tap is not None:
-            tap(li, "pre_attn", h.data)
-        q = tk.rope_rows(tk.matmul(h, lw.w_q), positions, dh, cfg.rope_theta)
-        k = tk.rope_rows(tk.matmul(h, lw.w_k), positions, dh, cfg.rope_theta)
-        v = tk.matmul(h, lw.w_v)
+            keys, values = cache.keys(li), cache.values(li)
+            keys[history:] = k.data.reshape(t, cfg.n_kv_heads, dh)
+            values[history:] = v.data.reshape(t, cfg.n_kv_heads, dh)
+            mixed = tk.attend(q, k, v, keys, values, cfg.n_heads, cfg.n_kv_heads, dh,
+                              mask=mask)
+            x = tk.add(x, tk.matmul(mixed, lw.w_o))
 
-        mixed = tk.attend(q, k, v, cache.keys(li), cache.values(li),
-                          cfg.n_heads, cfg.n_kv_heads, dh, mask=mask)
-        x = tk.add(x, tk.matmul(mixed, lw.w_o))
-
-        hf = tk.rms_norm(x, lw.ffn_norm_gamma, cfg.norm_eps)
-        if tap is not None:
-            tap(li, "pre_ffn", hf.data)
-        inner = tk.mul(tk.silu(tk.matmul(hf, lw.w_gate)), tk.matmul(hf, lw.w_up))
-        if tap is not None:
-            tap(li, "ffn_inner", inner.data)
-        x = tk.add(x, tk.matmul(inner, lw.w_down))
-
-        new_keys.append(k.data.reshape(t, cfg.n_kv_heads, dh))
-        new_values.append(v.data.reshape(t, cfg.n_kv_heads, dh))
-
-    cache.append_block(new_keys, new_values, id(w))
+            hf = tk.rms_norm(x, lw.ffn_norm_gamma, cfg.norm_eps)
+            if tap is not None:
+                tap(li, "pre_ffn", hf.data)
+            inner = tk.mul(tk.silu(tk.matmul(hf, lw.w_gate)), tk.matmul(hf, lw.w_up))
+            if tap is not None:
+                tap(li, "ffn_inner", inner.data)
+            x = tk.add(x, tk.matmul(inner, lw.w_down))
+    except BaseException:
+        cache.filled_len = history  # a failed block leaves the cache as it was
+        raise
     return tk.rms_norm(x, w.final_norm_gamma, cfg.norm_eps)
 
 

@@ -124,34 +124,30 @@ def bench_wallclock(full_w: Weights, pruned_w: Weights, prompt_len: int,
 
     Every mode prefills prompt_len - 1 tokens and then runs gen_len decode
     steps starting from the final prompt token, greedy-fed. Reported times
-    are means over `repeats` timed runs after `warmups` untimed ones.
+    are means over `repeats` timed runs after `warmups` untimed ones. Only
+    batch 1 is measured: the forward runs one sequence at a time, so a
+    larger batch would reload the weights per row, unlike roofline_estimate.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
     if repeats <= 0 or warmups < 0:
         raise ConfigError("repeats must be positive and warmups >= 0")
+    if batch != 1:
+        raise ConfigError(f"bench_wallclock measures batch 1 only, got batch {batch}")
     prefill_w = full_w if mode in ("full", "overfill") else pruned_w
     decode_w = pruned_w if mode in ("pruned", "overfill") else full_w
     rng = np.random.default_rng(seed)
-    prompts = rng.integers(0, prefill_w.config.vocab_size,
-                           size=(batch, prompt_len), dtype=np.int64)
+    prompt = rng.integers(0, prefill_w.config.vocab_size, size=prompt_len, dtype=np.int64)
 
     def one_run():
-        caches = []
         t0 = time.perf_counter()
-        last_logits = []
-        for row in prompts:
-            cache = KVCache.for_config(prefill_w.config,
-                                       dtype=prefill_w.token_embedding.dtype)
-            forward_prefill(prefill_w, row[:-1], cache)
-            caches.append(cache)
+        cache = KVCache.for_config(prefill_w.config, dtype=prefill_w.token_embedding.dtype)
+        forward_prefill(prefill_w, prompt[:-1], cache)
         t1 = time.perf_counter()
-        for b, row in enumerate(prompts):
-            tok = int(row[-1])
-            cache = caches[b]
-            for _ in range(gen_len):
-                logits, _ = decode_step(decode_w, tok, cache, cache.filled_len)
-                tok = int(np.argmax(logits.numpy()))
+        tok = int(prompt[-1])
+        for _ in range(gen_len):
+            logits, _ = decode_step(decode_w, tok, cache, cache.filled_len)
+            tok = int(np.argmax(logits.numpy()))
         t2 = time.perf_counter()
         return t1 - t0, t2 - t1
 

@@ -2,9 +2,11 @@
 
 Only the operations a decoder-only transformer needs are provided, with
 analytic backward rules for each. Arrays are float32 by default; float64
-is used by the gradient-check tests. All reductions run with a fixed
-serial order for a given build and thread count, so identical inputs give
-bit-identical outputs across runs.
+is used by the gradient-check tests. Every op keeps its operands' dtype in
+its output and its gradients: numpy scalar constants are cast to it first,
+since a float64 scalar would promote float32 arrays to float64. All
+reductions run with a fixed serial order for a given build and thread
+count, so identical inputs give bit-identical outputs across runs.
 """
 
 from __future__ import annotations
@@ -248,7 +250,7 @@ def silu(a: ArrayLike) -> Tensor:
     def backward(g):
         return (g * (sig * (1.0 + av * (1.0 - sig))),)
 
-    return _emit(out.astype(av.dtype), (a,), backward)
+    return _emit(out, (a,), backward)
 
 
 def softmax_rows(a: ArrayLike) -> Tensor:
@@ -262,7 +264,7 @@ def softmax_rows(a: ArrayLike) -> Tensor:
         inner = (g * p).sum(axis=-1, keepdims=True)
         return (p * (g - inner),)
 
-    return _emit(p.astype(av.dtype), (a,), backward)
+    return _emit(p, (a,), backward)
 
 
 def rms_norm(x: ArrayLike, gamma: ArrayLike, eps: float) -> Tensor:
@@ -281,23 +283,35 @@ def rms_norm(x: ArrayLike, gamma: ArrayLike, eps: float) -> Tensor:
         dot = (gg * xv).sum(axis=-1, keepdims=True)
         gx = gg * inv - xv * (dot * inv**3 / d)
         ggamma = (g * xv * inv).reshape(-1, d).sum(axis=0)
-        return gx.astype(xv.dtype), ggamma.astype(gv.dtype)
+        return gx, ggamma
 
-    return _emit(out.astype(xv.dtype), (x, gamma), backward)
+    return _emit(out, (x, gamma), backward)
 
 
-def _rope_angles(positions: np.ndarray, head_dim: int, theta_base: float, dtype):
-    half = head_dim // 2
-    inv_freq = theta_base ** (-np.arange(half, dtype=np.float64) * 2.0 / head_dim)
-    ang = positions.astype(np.float64)[:, None] * inv_freq[None, :]
-    return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+# Rotation factors cos + i*sin per (head_dim, theta_base, dtype): row p holds
+# position p. Grown by doubling; the values depend only on the key.
+_ROPE_TABLES: dict = {}
+
+
+def _rope_table(n: int, head_dim: int, theta_base: float, dtype) -> np.ndarray:
+    key = (head_dim, theta_base, dtype)
+    table = _ROPE_TABLES.get(key)
+    if table is None or table.shape[0] < n:
+        size = max(n, 64 if table is None else 2 * table.shape[0])
+        inv_freq = theta_base ** (-np.arange(head_dim // 2, dtype=np.float64) * 2.0 / head_dim)
+        ang = np.arange(size, dtype=np.float64)[:, None] * inv_freq[None, :]
+        table = np.empty(ang.shape, dtype=np.result_type(dtype, np.complex64))
+        table.real, table.imag = np.cos(ang), np.sin(ang)
+        _ROPE_TABLES[key] = table
+    return table
 
 
 def rope_rows(x: ArrayLike, positions: Sequence[int], head_dim: int, theta_base: float) -> Tensor:
     """Rotary position rotation of consecutive pairs within each head segment.
 
     x is [T, n_heads*head_dim] where row t belongs to absolute position
-    positions[t]; every head in a row is rotated by the same angles.
+    positions[t]; every head in a row is rotated by the same angles. Each
+    pair (x[2j], x[2j+1]) is rotated as the complex number x[2j] + i*x[2j+1].
     """
     xv = _arr(x)
     if head_dim % 2 != 0:
@@ -308,36 +322,21 @@ def rope_rows(x: ArrayLike, positions: Sequence[int], head_dim: int, theta_base:
     pos = np.asarray(positions)
     if pos.shape != (t,):
         raise ShapeError(f"rope: {t} rows but {pos.shape} positions")
+    bounds = pos.tolist()  # builtin min/max: numpy reductions cost more on a few rows
+    if min(bounds, default=0) < 0:
+        raise ShapeError(f"rope: positions must be >= 0, got {min(bounds)}")
+    table = _rope_table(max(bounds, default=-1) + 1, head_dim, theta_base, xv.dtype)
+    rot = table[pos][:, None]  # [T, 1, head_dim/2]
     n_heads = width // head_dim
-    cos, sin = _rope_angles(pos, head_dim, theta_base, xv.dtype)  # [T, half]
-    x3 = xv.reshape(t, n_heads, head_dim)
-    xe, xo = x3[..., 0::2], x3[..., 1::2]
-    c, s = cos[:, None, :], sin[:, None, :]
-    out = np.empty_like(x3)
-    out[..., 0::2] = xe * c - xo * s
-    out[..., 1::2] = xe * s + xo * c
+
+    def turn(a, r):
+        ac = np.ascontiguousarray(a).view(r.dtype).reshape(t, n_heads, head_dim // 2)
+        return (ac * r).view(a.dtype).reshape(t, width)
 
     def backward(g):
-        g3 = g.reshape(t, n_heads, head_dim)
-        ge, go = g3[..., 0::2], g3[..., 1::2]
-        gx = np.empty_like(g3)
-        gx[..., 0::2] = ge * c + go * s
-        gx[..., 1::2] = -ge * s + go * c
-        return (gx.reshape(t, width),)
+        return (turn(g, rot.conj()),)
 
-    return _emit(out.reshape(t, width), (x,), backward)
-
-
-def rope_apply(q_or_k: ArrayLike, position: int, theta_base: float) -> Tensor:
-    """Rotate one position's [n_heads, head_dim] block by its absolute position."""
-    xv = _arr(q_or_k)
-    if xv.ndim != 2:
-        raise ShapeError(f"rope_apply expects [heads, head_dim], got {xv.shape}")
-    if position < 0:
-        raise ShapeError(f"rope_apply: position must be >= 0, got {position}")
-    heads, head_dim = xv.shape
-    out = rope_rows(q_or_k, [position] * heads, head_dim, theta_base)
-    return out
+    return _emit(turn(xv, rot), (x,), backward)
 
 
 def embedding(weight: ArrayLike, ids: Sequence[int]) -> Tensor:
@@ -426,37 +425,39 @@ def sum_all(a: ArrayLike) -> Tensor:
     return _emit(np.asarray(av.sum(dtype=av.dtype), dtype=av.dtype), (a,), backward)
 
 
-def attend(q: ArrayLike, k: ArrayLike, v: ArrayLike, hist_k: np.ndarray,
-           hist_v: np.ndarray, n_heads: int, n_kv_heads: int, head_dim: int,
+def attend(q: ArrayLike, k: ArrayLike, v: ArrayLike, keys: np.ndarray,
+           values: np.ndarray, n_heads: int, n_kv_heads: int, head_dim: int,
            mask: Optional[np.ndarray] = None) -> Tensor:
     """Fused causal multi-head attention over [history, block] keys/values.
 
     q is [T, n_heads*head_dim]; k and v are the block's [T, n_kv_heads*head_dim]
-    projections; hist_k/hist_v are constant [S0, n_kv_heads, head_dim] history
-    (no gradient flows into them). Query head h reads kv head
-    h // (n_heads // n_kv_heads). mask, when given, is an additive [T, S0+T]
-    array. Returns [T, n_heads*head_dim].
+    projections. keys/values are [S, n_kv_heads, head_dim] arrays, typically
+    the filled view of a cache, whose last T rows already hold k and v; the
+    S-T history rows before them are constants (no gradient flows into them).
+    Query head h reads kv head h // (n_heads // n_kv_heads). mask, when
+    given, is an additive [T, S] array. Returns [T, n_heads*head_dim].
     """
-    qv, kv_, vv = _arr(q), _arr(k), _arr(v)
+    qv, kv_ = _arr(q), _arr(k)
     t = qv.shape[0]
-    s0 = hist_k.shape[0]
-    s = s0 + t
+    s = keys.shape[0]
+    s0 = s - t
     group = n_heads // n_kv_heads
-    if qv.shape != (t, n_heads * head_dim) or kv_.shape != (t, n_kv_heads * head_dim):
-        raise ShapeError(f"attend: bad q/k shapes {qv.shape}, {kv_.shape}")
+    if (qv.shape != (t, n_heads * head_dim) or kv_.shape != (t, n_kv_heads * head_dim)
+            or _arr(v).shape != kv_.shape):
+        raise ShapeError(f"attend: bad q/k/v shapes {qv.shape}, {kv_.shape}, {_arr(v).shape}")
+    if s0 < 0 or keys.shape != (s, n_kv_heads, head_dim) or values.shape != keys.shape:
+        raise ShapeError(f"attend: keys/values {keys.shape}, {values.shape} for a block of {t}")
     if mask is not None and mask.shape != (t, s):
         raise ShapeError(f"attend: mask {mask.shape} != {(t, s)}")
-    alpha = 1.0 / np.sqrt(head_dim)
+    alpha = qv.dtype.type(1.0 / np.sqrt(head_dim))
 
     # [kv_head, group, T, dh] queries against [kv_head, 1, S, dh] keys.
     q4 = qv.reshape(t, n_kv_heads, group, head_dim).transpose(1, 2, 0, 3)
-    k_all = np.concatenate([hist_k, kv_.reshape(t, n_kv_heads, head_dim)], axis=0)
-    v_all = np.concatenate([hist_v, vv.reshape(t, n_kv_heads, head_dim)], axis=0)
-    k4 = k_all.transpose(1, 0, 2)[:, None]   # [Hkv, 1, S, dh]
-    v4 = v_all.transpose(1, 0, 2)[:, None]
+    k4 = keys.transpose(1, 0, 2)[:, None]     # [Hkv, 1, S, dh]
+    v4 = values.transpose(1, 0, 2)[:, None]
     scores = (q4 @ k4.swapaxes(-1, -2)) * alpha
     if mask is not None:
-        scores = scores + mask
+        scores += mask
     scores -= scores.max(axis=-1, keepdims=True)
     e = np.exp(scores)
     p = e / e.sum(axis=-1, keepdims=True)    # [Hkv, G, T, S]
@@ -497,7 +498,7 @@ def cross_entropy_rows(logits: ArrayLike, targets: Sequence[int]) -> Tensor:
     z = e.sum(axis=1, keepdims=True)
     lse = (m + np.log(z)).reshape(-1)
     picked = lv[np.arange(lv.shape[0]), idx]
-    out = (lse - picked).astype(lv.dtype)
+    out = lse - picked
 
     def backward(g):
         p = e / z

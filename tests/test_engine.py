@@ -141,13 +141,25 @@ def test_full_model_consulted_exactly_once(full_w, pruned_w):
 
 
 def test_cache_writer_boundary(full_w, pruned_w):
+    # Rows < M-1 hold the full model's prefill K/V; row M-1 onwards the
+    # pruned decoder's, replayed here over the same tokens. Row M-1 is not
+    # what the full model would have written there.
     prompt = prompts(1, length=7, seed=7)[0]
     session = generate_session(full_w, pruned_w, prompt,
                                GenParams(max_new_tokens=4), mode="overfill")
     m = len(prompt)
-    writers = session.cache.writer_ids
-    assert all(wid == id(full_w) for wid in writers[:m - 1])
-    assert all(wid == id(pruned_w) for wid in writers[m - 1:])
+    ref = KVCache.for_config(DESK_CONFIG)
+    forward_prefill(full_w, prompt[:-1], ref)
+    full_next = KVCache.for_config(DESK_CONFIG)
+    forward_prefill(full_w, prompt, full_next)
+    for tok in [prompt[-1]] + session.emitted[:-1]:
+        decode_step(pruned_w, tok, ref, ref.filled_len)
+    assert session.cache.filled_len == ref.filled_len == m + 3
+    for layer in range(DESK_CONFIG.n_layers):
+        for rows in ("keys", "values"):
+            got = getattr(session.cache, rows)(layer)
+            np.testing.assert_array_equal(got, getattr(ref, rows)(layer))
+            assert not np.array_equal(got[m - 1], getattr(full_next, rows)(layer)[m - 1])
 
 
 def test_generation_deterministic_across_runs(full_w, pruned_w):

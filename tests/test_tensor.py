@@ -114,13 +114,13 @@ def test_rms_norm_dimension_mismatch():
 
 def test_rope_position_zero_is_identity():
     x = rng(7).normal(size=(3, 8)).astype(np.float32)
-    out = tk.rope_apply(x, position=0, theta_base=10000.0).numpy()
+    out = tk.rope_rows(x, [0, 0, 0], head_dim=8, theta_base=10000.0).numpy()
     np.testing.assert_array_equal(out, x)
 
 
 def test_rope_preserves_pair_norms():
     x = rng(8).normal(size=(4, 16))
-    out = tk.rope_apply(x, position=9, theta_base=10000.0).numpy()
+    out = tk.rope_rows(x, [9] * 4, head_dim=16, theta_base=10000.0).numpy()
     pairs_in = x.reshape(4, 8, 2)
     pairs_out = out.reshape(4, 8, 2)
     n_in = np.linalg.norm(pairs_in, axis=-1)
@@ -129,7 +129,7 @@ def test_rope_preserves_pair_norms():
 
 
 def test_rope_closed_form():
-    out = tk.rope_apply(np.array([[1.0, 0.0]]), position=1, theta_base=10000.0).numpy()
+    out = tk.rope_rows(np.array([[1.0, 0.0]]), [1], head_dim=2, theta_base=10000.0).numpy()
     np.testing.assert_allclose(out, [[math.cos(1.0), math.sin(1.0)]], atol=1e-6)
 
 
@@ -142,8 +142,8 @@ def test_rope_rows_matches_per_position_apply():
     x = rng(9).normal(size=(5, 8))
     block = tk.rope_rows(x, np.arange(5), head_dim=4, theta_base=10000.0).numpy()
     for t in range(5):
-        single = tk.rope_apply(x[t].reshape(2, 4), position=t, theta_base=10000.0)
-        np.testing.assert_allclose(block[t].reshape(2, 4), single.numpy(), atol=1e-6)
+        single = tk.rope_rows(x[t:t + 1], [t], head_dim=4, theta_base=10000.0)
+        np.testing.assert_allclose(block[t:t + 1], single.numpy(), atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +246,16 @@ FD_CASES = {
     "cross_entropy_rows": lambda ts: tk.sum_all(
         tk.mul(tk.cross_entropy_rows(ts[4], [0, 3, 1]), _W(3))),
     "attend": lambda ts: tk.sum_all(tk.mul(
-        tk.attend(ts[0], ts[5], ts[6], _HIST(2), _HIST(3), n_heads=2,
+        tk.attend(ts[0], ts[5], ts[6], _HIST(2, ts[5]), _HIST(3, ts[6]), n_heads=2,
                   n_kv_heads=1, head_dim=2,
                   mask=np.where(np.tril(np.ones((3, 5), bool), k=2), 0.0, -1e9)),
         _W(3, 4))),
 }
 
 
-def _HIST(seed):
-    return rng(seed).normal(size=(2, 1, 2))
+def _HIST(seed, block):
+    """Two constant history rows followed by the block's own rows."""
+    return np.concatenate([rng(seed).normal(size=(2, 1, 2)), block.data.reshape(3, 1, 2)])
 
 
 def _W(*shape):
