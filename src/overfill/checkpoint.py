@@ -10,6 +10,7 @@ Identical weights always serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Union
@@ -17,7 +18,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .model import LayerWeights, ModelConfig, Weights
+from .model import ModelConfig, Weights, tensor_shape
 from .tensor import Tensor
 
 MAGIC = b"OVFL1"
@@ -70,29 +71,37 @@ def save_checkpoint(path: PathLike, weights: Weights) -> None:
 
 
 def read_checkpoint_tensors(path: PathLike) -> dict[str, np.ndarray]:
+    """Name -> float32 array. The file is read once into one writable buffer
+    and every array is a view of it."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"checkpoint not found: {path}")
-    raw = path.read_bytes()
-    if raw[: len(MAGIC)] != MAGIC:
+    raw = np.fromfile(path, dtype=np.uint8)
+    if raw[: len(MAGIC)].tobytes() != MAGIC:
         raise DataError(f"bad magic in {path}: expected {MAGIC!r}")
-    (header_len,) = struct.unpack_from("<I", raw, len(MAGIC))
     header_start = len(MAGIC) + 4
+    if raw.size < header_start:
+        raise DataError(f"truncated checkpoint {path}: no header length")
+    (header_len,) = struct.unpack_from("<I", raw, len(MAGIC))
+    if header_start + header_len > raw.size:
+        raise DataError(f"truncated checkpoint {path}: header runs past the end of the file")
     try:
-        header = json.loads(raw[header_start: header_start + header_len])
-    except json.JSONDecodeError as exc:
-        raise DataError(f"corrupt checkpoint header in {path}: {exc}") from exc
+        header = json.loads(raw[header_start: header_start + header_len].tobytes())
+        entries = [(name, meta["dtype"], tuple(int(n) for n in meta["shape"]),
+                    int(meta["byte_offset"])) for name, meta in header.items()]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"corrupt checkpoint header in {path}: {exc!r}") from exc
     tensors = {}
-    for name, meta in header.items():
-        if meta.get("dtype") != "f32":
-            raise DataError(f"unsupported dtype {meta.get('dtype')!r} for {name}")
-        shape = tuple(meta["shape"])
-        off = meta["byte_offset"]
+    for name, dtype, shape, off in entries:
+        if dtype != "f32":
+            raise DataError(f"unsupported dtype {dtype!r} for {name}")
         if off % ALIGN != 0:
             raise DataError(f"tensor {name} not {ALIGN}-byte aligned (offset {off})")
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=off)
-        tensors[name] = arr.reshape(shape).astype(np.float32)
+        nbytes = 4 * math.prod(shape)
+        if min(shape, default=0) < 0 or off < header_start or off + nbytes > raw.size:
+            raise DataError(f"truncated checkpoint {path}: tensor {name} at "
+                            f"[{off}, {off + nbytes}) lies outside its {raw.size} bytes")
+        tensors[name] = raw[off: off + nbytes].view("<f4").reshape(shape)
     return tensors
 
 
@@ -100,39 +109,19 @@ def load_checkpoint(path: PathLike, config: ModelConfig) -> Weights:
     """Assemble Weights for a config from an OVFL1 file, validating shapes."""
     tensors = read_checkpoint_tensors(path)
 
-    def take(name, shape):
+    def take(name, axes):
         if name not in tensors:
             raise DataError(f"checkpoint {path} missing tensor {name}")
         arr = tensors.pop(name)
+        shape = tensor_shape(config, axes)
         if arr.shape != shape:
             raise DataError(f"{name}: shape {arr.shape} != expected {shape}")
         return Tensor(arr)
 
-    d, da, dkv, i = (config.hidden_dim, config.attn_dim, config.kv_dim,
-                     config.intermediate_dim)
-    emb = take("token_embedding", (config.vocab_size, d))
-    layers = []
-    for li in range(config.n_layers):
-        p = f"layers.{li}."
-        layers.append(LayerWeights(
-            attn_norm_gamma=take(p + "attn_norm_gamma", (d,)),
-            w_q=take(p + "w_q", (d, da)),
-            w_k=take(p + "w_k", (d, dkv)),
-            w_v=take(p + "w_v", (d, dkv)),
-            w_o=take(p + "w_o", (da, d)),
-            ffn_norm_gamma=take(p + "ffn_norm_gamma", (d,)),
-            w_gate=take(p + "w_gate", (d, i)),
-            w_up=take(p + "w_up", (d, i)),
-            w_down=take(p + "w_down", (i, d)),
-        ))
-    final = take("final_norm_gamma", (d,))
-    lm_head = None
-    if not config.tied_embeddings:
-        lm_head = take("lm_head", (d, config.vocab_size))
+    weights = Weights.build(config, take)
     if tensors:
         raise DataError(f"checkpoint {path} has unexpected tensors: {sorted(tensors)}")
-    return Weights(config=config, token_embedding=emb, layers=layers,
-                   final_norm_gamma=final, lm_head=lm_head)
+    return weights
 
 
 def save_config(path: PathLike, config: ModelConfig) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import os
 import sys
@@ -20,8 +21,7 @@ from pathlib import Path
 _THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
-SUBCOMMANDS = ("gen-data", "train-base", "calibrate", "prune", "train-overfill",
-               "generate", "eval", "param-count", "bench", "roofline")
+MODES = ("full", "pruned", "overfill")
 
 EVAL_SEED_OFFSET = 104729  # keeps held-out example streams away from training ones
 
@@ -41,60 +41,56 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 _NUM = (int, float)
+# Accepted JSON types for each annotation of a config dataclass field.
+_FIELD_TYPES = {"int": int, "float": _NUM, "bool": bool,
+                "Optional[int]": (int, type(None))}
 
-RUN_SCHEMA = {
-    "seed": (int, 0),
-    "model": {
-        "vocab_size": (int, 260),
-        "hidden_dim": (int, 64),
-        "n_layers": (int, 4),
-        "n_heads": (int, 4),
-        "n_kv_heads": (int, 2),
-        "head_dim": (int, 16),
-        "intermediate_dim": (int, 256),
-        "norm_eps": (_NUM, 1e-5),
-        "rope_theta": (_NUM, 10000.0),
-        "tied_embeddings": (bool, True),
-    },
-    "prune": {
-        "p_hidden": (_NUM, 0.5),
-        "p_intermediate": (_NUM, 0.5),
-        "calib_batches": (int, 8),
-        "calib_rows": (int, 16),
-        "calib_seq_len": (int, 128),
-        "hardware_round_to": ((int, type(None)), None),
-    },
-    "train": {
-        "base_lr": (_NUM, 1e-3),
-        "warmup_ratio": (_NUM, 0.01),
-        "batch_size": (int, 16),
-        "max_seq_len": (int, 96),
-        "base_steps": (int, 600),
-        "overfill_steps": (int, 300),
-        "checkpoint_every": (int, 0),
-        "kinds": (list, ["copy", "reverse", "modadd", "kvlookup"]),
-        "train_per_kind": (int, 2000),
-        "eval_per_kind": (int, 100),
-    },
-    "gen": {
-        "max_new_tokens": (int, 32),
-        "temperature": (_NUM, 0.0),
-    },
-    "bench": {
-        "prompt_len": (int, 64),
-        "gen_lens": (list, [32, 64, 128]),
-        "batch": (int, 1),
-        "repeats": (int, 5),
-        "warmups": (int, 2),
-        "hardware": {
-            "peak_flops": (_NUM, 312e12),
-            "mem_bandwidth": (_NUM, 2.039e12),
-            "bytes_per_param": (int, 4),
+
+def _section(defaults) -> dict:
+    """Schema rules for a config dataclass: each field's type, with the
+    value it has in `defaults` as its default."""
+    return {f.name: (_FIELD_TYPES[f.type], getattr(defaults, f.name))
+            for f in dataclasses.fields(defaults)}
+
+
+def run_schema() -> dict:
+    """The run config schema: key -> (accepted types, default) or a section.
+    Built on call, since the config classes' modules import numpy."""
+    from .model import DESK_CONFIG
+    from .perfmodel import HardwareSpec
+    from .pruner import PruneConfig
+
+    return {
+        "seed": (int, 0),
+        "model": _section(DESK_CONFIG),
+        "prune": _section(PruneConfig(p_hidden=0.5, p_intermediate=0.5)),
+        "train": {
+            "base_lr": (_NUM, 1e-3),
+            "warmup_ratio": (_NUM, 0.01),
+            "batch_size": (int, 16),
+            "max_seq_len": (int, 96),
+            "base_steps": (int, 600),
+            "overfill_steps": (int, 300),
+            "checkpoint_every": (int, 0),
+            "kinds": (list, ["copy", "reverse", "modadd", "kvlookup"]),
+            "train_per_kind": (int, 2000),
+            "eval_per_kind": (int, 100),
         },
-        "roofline_full_geometry": ((str, type(None)), None),
-        "roofline_pruned_geometry": ((str, type(None)), None),
-    },
-}
+        "gen": {
+            "max_new_tokens": (int, 32),
+            "temperature": (_NUM, 0.0),
+        },
+        "bench": {
+            "prompt_len": (int, 64),
+            "gen_lens": (list, [32, 64, 128]),
+            "batch": (int, 1),
+            "repeats": (int, 5),
+            "warmups": (int, 2),
+            "hardware": _section(HardwareSpec()),
+            "roofline_full_geometry": ((str, type(None)), None),
+            "roofline_pruned_geometry": ((str, type(None)), None),
+        },
+    }
 
 
 def _validate_section(schema: dict, doc, pointer: str, errors: list) -> dict:
@@ -115,36 +111,33 @@ def _validate_section(schema: dict, doc, pointer: str, errors: list) -> dict:
             out[key] = copy.deepcopy(default)
             continue
         value = doc[key]
-        if isinstance(value, bool) and expected is not bool and bool not in (
-                expected if isinstance(expected, tuple) else (expected,)):
-            errors.append(f"{ptr}: expected {_type_name(expected)}, got bool")
-            continue
-        if not isinstance(value, expected):
-            errors.append(f"{ptr}: expected {_type_name(expected)}, "
+        types = expected if isinstance(expected, tuple) else (expected,)
+        # bool is a subclass of int, but true/false is not a number here.
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            errors.append(f"{ptr}: expected {' or '.join(t.__name__ for t in types)}, "
                           f"got {type(value).__name__}")
             continue
         out[key] = value
     return out
 
 
-def _type_name(expected) -> str:
-    if isinstance(expected, tuple):
-        return " or ".join(t.__name__ for t in expected)
-    return expected.__name__
-
-
-def load_run_config(path: str) -> dict:
+def _read_json(path: str):
     from .errors import DataError
 
     p = Path(path)
     if not p.is_file():
         raise DataError(f"config file not found: {p}")
     try:
-        doc = json.loads(p.read_text())
+        return json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"{p}: not valid JSON: {exc}") from exc
+
+
+def load_run_config(path: str) -> dict:
+    from .errors import DataError
+
     errors: list[str] = []
-    cfg = _validate_section(RUN_SCHEMA, doc, "", errors)
+    cfg = _validate_section(run_schema(), _read_json(path), "", errors)
     if errors:
         raise DataError("invalid run config: " + "; ".join(errors))
     return cfg
@@ -159,15 +152,7 @@ def _model_config(cfg: dict):
 def _prune_config(cfg: dict):
     from .pruner import PruneConfig
 
-    p = cfg["prune"]
-    return PruneConfig(p_hidden=p["p_hidden"], p_intermediate=p["p_intermediate"],
-                       calib_batches=p["calib_batches"], calib_rows=p["calib_rows"],
-                       calib_seq_len=p["calib_seq_len"],
-                       hardware_round_to=p["hardware_round_to"]).validate()
-
-
-def _run_dir(args) -> Path:
-    return Path(args.out)
+    return PruneConfig(**cfg["prune"]).validate()
 
 
 def _require(path: Path, what: str) -> Path:
@@ -217,7 +202,7 @@ def _train_examples(cfg: dict, run_dir: Path):
 def cmd_gen_data(args, cfg: dict) -> int:
     from . import corpus
 
-    run_dir = _run_dir(args)
+    run_dir = Path(args.out)
     seed = cfg["seed"]
     for kind in cfg["train"]["kinds"]:
         train = corpus.gen_tasks(kind, seed, cfg["train"]["train_per_kind"])
@@ -230,39 +215,44 @@ def cmd_gen_data(args, cfg: dict) -> int:
     return 0
 
 
+def _train(args, cfg: dict, prefill_w, w, tag: str, steps: int, data_seed: int) -> int:
+    """Train w (behind prefill_w when given) and save it under `tag`."""
+    from .corpus import Tokenizer
+    from .trainer import run_training, write_training_log
+
+    run_dir = Path(args.out)
+    t = cfg["train"]
+    rows = run_training(
+        prefill_w, w, _train_examples(cfg, run_dir), Tokenizer(), steps=steps,
+        batch_size=t["batch_size"], max_seq_len=t["max_seq_len"],
+        base_lr=t["base_lr"], warmup_ratio=t["warmup_ratio"], data_seed=data_seed,
+        checkpoint_every=t["checkpoint_every"] or None,
+        checkpoint_fn=lambda s: _save_model(run_dir, f"{tag}_step{s}", w))
+    _save_model(run_dir, tag, w)
+    write_training_log(run_dir / f"logs_{tag}.csv", rows)
+    print(f"{args.subcommand}: {steps} steps, final loss {rows[-1].loss:.4f} "
+          f"-> checkpoints/{tag}.ovfl")
+    return 0
+
+
 def cmd_train_base(args, cfg: dict) -> int:
     from .checkpoint import load_checkpoint, load_config
-    from .corpus import Tokenizer
     from .model import init_model
-    from .trainer import run_standalone_training, write_training_log
 
-    run_dir = _run_dir(args)
-    tag = args.tag
     if args.init_checkpoint:
         mcfg = load_config(_require(Path(args.init_config), "init model config"))
         w = load_checkpoint(_require(Path(args.init_checkpoint), "init checkpoint"), mcfg)
     else:
         w = init_model(_model_config(cfg), cfg["seed"])
-    steps = args.steps or cfg["train"]["base_steps"]
-    examples = _train_examples(cfg, run_dir)
-    rows = run_standalone_training(
-        w, examples, Tokenizer(), steps=steps,
-        batch_size=cfg["train"]["batch_size"], max_seq_len=cfg["train"]["max_seq_len"],
-        base_lr=cfg["train"]["base_lr"], warmup_ratio=cfg["train"]["warmup_ratio"],
-        data_seed=cfg["seed"] + 1,
-        checkpoint_every=cfg["train"]["checkpoint_every"] or None,
-        checkpoint_fn=lambda s: _save_model(run_dir, f"{tag}_step{s}", w))
-    _save_model(run_dir, tag, w)
-    write_training_log(run_dir / f"logs_{tag}.csv", rows)
-    print(f"train-base: {steps} steps, final loss {rows[-1].loss:.4f} -> checkpoints/{tag}.ovfl")
-    return 0
+    return _train(args, cfg, None, w, args.tag, args.steps or cfg["train"]["base_steps"],
+                  cfg["seed"] + 1)
 
 
 def cmd_calibrate(args, cfg: dict) -> int:
     from .corpus import Tokenizer, pack_calibration_batches
     from .pruner import collect_activations, score_channels
 
-    run_dir = _run_dir(args)
+    run_dir = Path(args.out)
     w = _load_model(run_dir, "base")
     pcfg = _prune_config(cfg)
     examples = _train_examples(cfg, run_dir)
@@ -287,20 +277,15 @@ def cmd_prune(args, cfg: dict) -> int:
     import numpy as np
 
     from .errors import DataError
-    from .pruner import (ChannelSelection, ImportanceScores, compute_pruned_dims,
-                         select_channels, slice_model)
+    from .pruner import ImportanceScores, select_and_slice
 
-    run_dir = _run_dir(args)
+    run_dir = Path(args.out)
     w = _load_model(run_dir, "base")
+    if args.p_hidden is not None:
+        cfg["prune"]["p_hidden"] = args.p_hidden
+    if args.p_inter is not None:
+        cfg["prune"]["p_intermediate"] = args.p_inter
     pcfg = _prune_config(cfg)
-    if args.p_hidden is not None or args.p_inter is not None:
-        import dataclasses
-
-        pcfg = dataclasses.replace(
-            pcfg,
-            p_hidden=pcfg.p_hidden if args.p_hidden is None else args.p_hidden,
-            p_intermediate=pcfg.p_intermediate if args.p_inter is None else args.p_inter,
-        ).validate()
     calib_path = _require(run_dir / "calibration.json", "calibration scores")
     try:
         doc = json.loads(calib_path.read_text())
@@ -311,72 +296,47 @@ def cmd_prune(args, cfg: dict) -> int:
     except (json.JSONDecodeError, KeyError) as exc:
         raise DataError(f"{calib_path}: malformed calibration file: {exc}") from exc
 
-    d_kept, i_kept = compute_pruned_dims(w.config.hidden_dim,
-                                         w.config.intermediate_dim, pcfg)
-    sel = select_channels(scores, d_kept, i_kept)
-    sel.provenance = dict(provenance)
-    sel.provenance.update({"p_hidden": pcfg.p_hidden,
-                           "p_intermediate": pcfg.p_intermediate})
-    pruned, pruned_cfg = slice_model(w, sel, w.config)
+    pruned, pruned_cfg, sel = select_and_slice(w, scores, pcfg, provenance)
     sel.save(run_dir / "selection.json")
     _save_model(run_dir, "pruned_init", pruned)
-    print(f"prune: kept {d_kept}/{w.config.hidden_dim} hidden, "
-          f"{i_kept}/{w.config.intermediate_dim} intermediate -> checkpoints/pruned_init.ovfl")
+    print(f"prune: kept {pruned_cfg.hidden_dim}/{w.config.hidden_dim} hidden, "
+          f"{pruned_cfg.intermediate_dim}/{w.config.intermediate_dim} intermediate "
+          f"-> checkpoints/pruned_init.ovfl")
     return 0
 
 
 def cmd_train_overfill(args, cfg: dict) -> int:
-    from .corpus import Tokenizer
-    from .trainer import run_overfill_training, write_training_log
-
-    run_dir = _run_dir(args)
-    full_w = _load_model(run_dir, "base").freeze()
+    run_dir = Path(args.out)
+    full_w = _load_model(run_dir, "base")
     pruned_w = _load_model(run_dir, "pruned_init")
-    steps = args.steps or cfg["train"]["overfill_steps"]
-    examples = _train_examples(cfg, run_dir)
-    rows = run_overfill_training(
-        full_w, pruned_w, examples, Tokenizer(), steps=steps,
-        batch_size=cfg["train"]["batch_size"], max_seq_len=cfg["train"]["max_seq_len"],
-        base_lr=cfg["train"]["base_lr"], warmup_ratio=cfg["train"]["warmup_ratio"],
-        data_seed=cfg["seed"] + 2,
-        checkpoint_every=cfg["train"]["checkpoint_every"] or None,
-        checkpoint_fn=lambda s: _save_model(run_dir, f"overfill_step{s}", pruned_w))
-    _save_model(run_dir, "overfill", pruned_w)
-    write_training_log(run_dir / f"logs_overfill.csv", rows)
-    print(f"train-overfill: {steps} steps, final loss {rows[-1].loss:.4f} "
-          f"-> checkpoints/overfill.ovfl")
-    return 0
+    return _train(args, cfg, full_w, pruned_w, "overfill",
+                  args.steps or cfg["train"]["overfill_steps"], cfg["seed"] + 2)
 
 
 def _decode_weights_for_mode(run_dir: Path, mode: str):
-    from .errors import DataError
-
-    if mode == "full":
-        w = _load_model(run_dir, "base")
-        return w, None
+    """(prefill, decode) weights of a generation mode."""
     if mode == "pruned":
         # The standalone pruned baseline only, never the overfill-trained decoder.
         _require(run_dir / "checkpoints" / "pruned.ovfl",
                  "pruned baseline checkpoint (written by `train-base --tag pruned`)")
-        return _load_model(run_dir, "pruned"), None
-    if mode == "overfill":
-        return _load_model(run_dir, "base"), _load_model(run_dir, "overfill")
-    raise DataError(f"unknown mode {mode!r}")
+        w = _load_model(run_dir, "pruned")
+        return w, w
+    full = _load_model(run_dir, "base")
+    return full, _load_model(run_dir, "overfill") if mode == "overfill" else full
 
 
 def cmd_generate(args, cfg: dict) -> int:
     from .corpus import ChatExample, Tokenizer, format_chat
-    from .engine import GenParams, generate_session
+    from .engine import GenParams, generate
 
-    run_dir = _run_dir(args)
     tok = Tokenizer()
-    weights, decode_weights = _decode_weights_for_mode(run_dir, args.mode)
+    prefill_w, decode_w = _decode_weights_for_mode(Path(args.out), args.mode)
     ids, m = format_chat(ChatExample(args.system, args.prompt, "", "copy"), tok)
     params = GenParams(max_new_tokens=cfg["gen"]["max_new_tokens"],
                        temperature=cfg["gen"]["temperature"],
                        seed=cfg["seed"], stop_token=tok.eos)
-    session = generate_session(weights, decode_weights, ids[:m], params, mode=args.mode)
-    print(tok.detokenize(session.emitted))
+    out, _ = generate(prefill_w, decode_w, ids[:m], params)
+    print(tok.detokenize(out))
     return 0
 
 
@@ -384,16 +344,15 @@ def cmd_eval(args, cfg: dict) -> int:
     from .corpus import Tokenizer, load_dataset
     from .engine import evaluate_exact_match
 
-    run_dir = _run_dir(args)
+    run_dir = Path(args.out)
     tok = Tokenizer()
-    weights, decode_weights = _decode_weights_for_mode(run_dir, args.mode)
+    prefill_w, decode_w = _decode_weights_for_mode(run_dir, args.mode)
     kinds = [args.kind] if args.kind else cfg["train"]["kinds"]
     results = {}
     for kind in kinds:
         examples = load_dataset(_require(run_dir / "data" / f"eval_{kind}.jsonl",
                                          f"eval data for {kind}"))
-        acc = evaluate_exact_match(weights, decode_weights, examples, tok,
-                                   mode=args.mode, seed=cfg["seed"])
+        acc = evaluate_exact_match(prefill_w, decode_w, examples, tok, seed=cfg["seed"])
         results[kind] = {"exact_match": acc, "n": len(examples)}
         print(f"eval[{args.mode}] {kind}: exact match {acc * 100:.1f}% ({len(examples)} examples)")
     out = run_dir / f"eval_{args.mode}.json"
@@ -403,43 +362,35 @@ def cmd_eval(args, cfg: dict) -> int:
 
 
 def cmd_param_count(args, cfg_unused) -> int:
-    from .errors import DataError
+    """Parameter count of a model config file or of a run config's model."""
     from .model import ModelConfig
     from .perfmodel import param_count
 
-    try:
-        doc = json.loads(Path(args.config).read_text())
-    except FileNotFoundError as exc:
-        raise DataError(f"config file not found: {args.config}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{args.config}: not valid JSON: {exc}") from exc
+    doc = _read_json(args.config)
     if "model" in doc and "vocab_size" not in doc:
-        mcfg = ModelConfig.from_dict(load_run_config(args.config)["model"])
-    else:
-        mcfg = ModelConfig.from_dict(doc)
-    print(param_count(mcfg))
+        doc = load_run_config(args.config)["model"]
+    print(param_count(ModelConfig.from_dict(doc)))
     return 0
 
 
 def cmd_bench(args, cfg: dict) -> int:
-    from .model import init_model
-    from .perfmodel import bench_wallclock, write_cost_csv
-    from .pruner import compute_pruned_dims, identity_selection, select_channels, slice_model
     import numpy as np
 
-    run_dir = _run_dir(args)
+    from .model import init_model
+    from .perfmodel import bench_wallclock, write_cost_csv
+    from .pruner import ImportanceScores, select_and_slice
+
+    run_dir = Path(args.out)
     b = cfg["bench"]
     full_w = init_model(_model_config(cfg), cfg["seed"])
-    pcfg = _prune_config(cfg)
-    d_kept, i_kept = compute_pruned_dims(full_w.config.hidden_dim,
-                                         full_w.config.intermediate_dim, pcfg)
-    sel = identity_selection(full_w.config)
-    sel.hidden_idx = sel.hidden_idx[:d_kept]
-    sel.inter_idx = [idx[:i_kept] for idx in sel.inter_idx]
-    pruned_w, _ = slice_model(full_w, sel, full_w.config)
+    # Equal scores select the lowest channel indices: a prefix slice.
+    mcfg = full_w.config
+    flat = ImportanceScores(np.zeros(mcfg.hidden_dim),
+                            [np.zeros(mcfg.intermediate_dim)] * mcfg.n_layers)
+    pruned_w, _, _ = select_and_slice(full_w, flat, _prune_config(cfg))
 
     reports = []
-    for mode in ("full", "pruned", "overfill"):
+    for mode in MODES:
         for n in b["gen_lens"]:
             reports.append(bench_wallclock(full_w, pruned_w, b["prompt_len"], n,
                                            b["batch"], mode, repeats=b["repeats"],
@@ -452,38 +403,29 @@ def cmd_bench(args, cfg: dict) -> int:
 
 
 def cmd_roofline(args, cfg: dict) -> int:
-    from .model import ModelConfig
+    from .checkpoint import load_config
     from .perfmodel import (HardwareSpec, REFERENCE_GEOMETRIES, reference_geometry,
                             roofline_estimate, write_cost_csv)
     from .pruner import compute_pruned_dims
-    import dataclasses
 
-    run_dir = _run_dir(args)
+    run_dir = Path(args.out)
     b = cfg["bench"]
     hw = HardwareSpec(**b["hardware"]).validate()
 
-    def geometry(spec_value, fallback):
-        if spec_value is None:
-            return fallback()
-        if spec_value in REFERENCE_GEOMETRIES:
-            return reference_geometry(spec_value)
-        from .checkpoint import load_config
+    def geometry(spec):
+        """None, a bundled reference geometry by name, or a model config file."""
+        if spec is None:
+            return None
+        return reference_geometry(spec) if spec in REFERENCE_GEOMETRIES else load_config(spec)
 
-        return load_config(spec_value)
-
-    def run_model():
-        return _model_config(cfg)
-
-    def pruned_model():
-        full = geometry(b["roofline_full_geometry"], run_model)
-        d_kept, i_kept = compute_pruned_dims(full.hidden_dim, full.intermediate_dim,
+    full_cfg = geometry(b["roofline_full_geometry"]) or _model_config(cfg)
+    pruned_cfg = geometry(b["roofline_pruned_geometry"])
+    if pruned_cfg is None:
+        d_kept, i_kept = compute_pruned_dims(full_cfg.hidden_dim, full_cfg.intermediate_dim,
                                              _prune_config(cfg))
-        return dataclasses.replace(full, hidden_dim=d_kept, intermediate_dim=i_kept)
-
-    full_cfg = geometry(b["roofline_full_geometry"], run_model)
-    pruned_cfg = geometry(b["roofline_pruned_geometry"], pruned_model)
+        pruned_cfg = dataclasses.replace(full_cfg, hidden_dim=d_kept, intermediate_dim=i_kept)
     reports = []
-    for mode in ("full", "pruned", "overfill"):
+    for mode in MODES:
         for n in b["gen_lens"]:
             reports.append(roofline_estimate(hw, full_cfg, pruned_cfg,
                                              b["prompt_len"], n, b["batch"], mode))
@@ -505,7 +447,7 @@ def build_parser() -> _Parser:
         p.add_argument("--out", default="runs/run", help="run directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
 
-    for name in SUBCOMMANDS:
+    for name in COMMANDS:
         p = sub.add_parser(name)
         common(p)
         if name == "train-base":
@@ -519,13 +461,11 @@ def build_parser() -> _Parser:
             p.add_argument("--p-hidden", type=float, default=None, dest="p_hidden")
             p.add_argument("--p-inter", type=float, default=None, dest="p_inter")
         elif name == "generate":
-            p.add_argument("--mode", choices=("full", "pruned", "overfill"),
-                           default="overfill")
+            p.add_argument("--mode", choices=MODES, default="overfill")
             p.add_argument("--prompt", required=True)
             p.add_argument("--system", default="")
         elif name == "eval":
-            p.add_argument("--mode", choices=("full", "pruned", "overfill"),
-                           default="overfill")
+            p.add_argument("--mode", choices=MODES, default="overfill")
             p.add_argument("--kind", default=None)
     return parser
 

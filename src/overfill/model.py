@@ -8,13 +8,14 @@ a width-pruned model.
 
 from __future__ import annotations
 
+import hashlib
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from . import tensor as tk
 from .tensor import Tensor
 
@@ -43,11 +44,11 @@ class ModelConfig:
         return self.n_kv_heads * self.head_dim
 
     def validate(self) -> "ModelConfig":
-        for name in ("vocab_size", "hidden_dim", "n_layers", "n_heads",
-                     "n_kv_heads", "head_dim", "intermediate_dim"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v <= 0:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+        # The fields without a default are exactly the integer dimensions.
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.default is MISSING and (not isinstance(v, int) or v <= 0):
+                raise ConfigError(f"{f.name} must be a positive integer, got {v!r}")
         if self.n_heads % self.n_kv_heads != 0:
             raise ConfigError(
                 f"n_heads {self.n_heads} not divisible by n_kv_heads {self.n_kv_heads}")
@@ -58,27 +59,14 @@ class ModelConfig:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "hidden_dim": self.hidden_dim,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "n_kv_heads": self.n_kv_heads,
-            "head_dim": self.head_dim,
-            "intermediate_dim": self.intermediate_dim,
-            "norm_eps": self.norm_eps,
-            "rope_theta": self.rope_theta,
-            "tied_embeddings": self.tied_embeddings,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        missing = {"vocab_size", "hidden_dim", "n_layers", "n_heads",
-                   "n_kv_heads", "head_dim", "intermediate_dim"} - set(d)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(d)
         if missing:
             raise ConfigError(f"missing model config keys: {sorted(missing)}")
         return cls(**d).validate()
@@ -96,6 +84,17 @@ def cache_shape(config: ModelConfig) -> tuple[int, int, int]:
     return (config.n_layers, config.n_kv_heads, config.head_dim)
 
 
+def check_handoff(prefill_cfg: ModelConfig, decode_cfg: ModelConfig) -> None:
+    """Raise unless a decode model of decode_cfg can continue a cache (and
+    predict over the vocabulary) of a prefill model of prefill_cfg."""
+    if cache_shape(prefill_cfg) != cache_shape(decode_cfg):
+        raise ConfigError(
+            f"cache geometry mismatch: prefill {cache_shape(prefill_cfg)} "
+            f"vs decode {cache_shape(decode_cfg)}")
+    if prefill_cfg.vocab_size != decode_cfg.vocab_size:
+        raise ConfigError("prefill and decode vocabularies differ")
+
+
 class KVCache:
     """Per-layer key/value history, appended one block of positions at a time.
 
@@ -105,22 +104,15 @@ class KVCache:
 
     def __init__(self, n_layers: int, n_kv_heads: int, head_dim: int,
                  dtype=np.float32, capacity: int = 64):
-        self.n_layers = n_layers
-        self.n_kv_heads = n_kv_heads
-        self.head_dim = head_dim
+        self.geometry = (n_layers, n_kv_heads, head_dim)
         self.filled_len = 0
         self._keys = [np.zeros((capacity, n_kv_heads, head_dim), dtype=dtype)
                       for _ in range(n_layers)]
-        self._values = [np.zeros((capacity, n_kv_heads, head_dim), dtype=dtype)
-                        for _ in range(n_layers)]
+        self._values = [np.zeros_like(k) for k in self._keys]
 
     @classmethod
     def for_config(cls, config: ModelConfig, dtype=np.float32) -> "KVCache":
         return cls(*cache_shape(config), dtype=dtype)
-
-    @property
-    def geometry(self) -> tuple[int, int, int]:
-        return (self.n_layers, self.n_kv_heads, self.head_dim)
 
     def keys(self, layer: int) -> np.ndarray:
         return self._keys[layer][: self.filled_len]
@@ -132,7 +124,9 @@ class KVCache:
         cap = self._keys[0].shape[0]
         if need <= cap:
             return
-        new_cap = max(need, 2 * cap)
+        # Twice what is needed, so a long prefill leaves room for the decode
+        # steps that follow it instead of filling the buffers exactly.
+        new_cap = 2 * max(need, cap)
         for buf_list in (self._keys, self._values):
             for i, buf in enumerate(buf_list):
                 grown = np.zeros((new_cap,) + buf.shape[1:], dtype=buf.dtype)
@@ -148,17 +142,41 @@ class KVCache:
         return lo
 
 
+def _axes(*tags: str):
+    return field(metadata={"axes": tags})
+
+
+# Axis tags: "v" vocabulary, "d" hidden, "da" attention (n_heads * head_dim),
+# "dkv" key/value (n_kv_heads * head_dim), "i" FFN intermediate. Width
+# pruning slices every "d" and "i" axis and leaves the others alone.
 @dataclass
 class LayerWeights:
-    attn_norm_gamma: Tensor
-    w_q: Tensor
-    w_k: Tensor
-    w_v: Tensor
-    w_o: Tensor
-    ffn_norm_gamma: Tensor
-    w_gate: Tensor
-    w_up: Tensor
-    w_down: Tensor
+    attn_norm_gamma: Tensor = _axes("d")
+    w_q: Tensor = _axes("d", "da")
+    w_k: Tensor = _axes("d", "dkv")
+    w_v: Tensor = _axes("d", "dkv")
+    w_o: Tensor = _axes("da", "d")
+    ffn_norm_gamma: Tensor = _axes("d")
+    w_gate: Tensor = _axes("d", "i")
+    w_up: Tensor = _axes("d", "i")
+    w_down: Tensor = _axes("i", "d")
+
+
+def tensor_table(config: ModelConfig) -> Iterator[tuple[str, tuple[str, ...]]]:
+    """(name, axis tags) of every tensor of a model, in checkpoint order."""
+    yield "token_embedding", ("v", "d")
+    for li in range(config.n_layers):
+        for f in fields(LayerWeights):
+            yield f"layers.{li}.{f.name}", f.metadata["axes"]
+    yield "final_norm_gamma", ("d",)
+    if not config.tied_embeddings:
+        yield "lm_head", ("d", "v")
+
+
+def tensor_shape(config: ModelConfig, axes: Sequence[str]) -> tuple[int, ...]:
+    sizes = {"v": config.vocab_size, "d": config.hidden_dim, "da": config.attn_dim,
+             "dkv": config.kv_dim, "i": config.intermediate_dim}
+    return tuple(sizes[a] for a in axes)
 
 
 @dataclass
@@ -170,15 +188,27 @@ class Weights:
     lm_head: Optional[Tensor] = None  # None when tied to token_embedding
     frozen: bool = False
 
+    @classmethod
+    def build(cls, config: ModelConfig,
+              make: Callable[[str, tuple[str, ...]], Tensor]) -> "Weights":
+        """Weights whose tensors are make(name, axes), called in checkpoint order."""
+        made = {name: make(name, axes) for name, axes in tensor_table(config)}
+        layers = [LayerWeights(**{f.name: made[f"layers.{li}.{f.name}"]
+                                  for f in fields(LayerWeights)})
+                  for li in range(config.n_layers)]
+        return cls(config, made["token_embedding"], layers, made["final_norm_gamma"],
+                   made.get("lm_head"))
+
+    def tensor(self, name: str) -> Tensor:
+        """The tensor with a checkpoint name such as "layers.2.w_q"."""
+        parts = name.split(".")
+        if len(parts) == 3:  # layers.<index>.<field>
+            return getattr(self.layers[int(parts[1])], parts[2])
+        return getattr(self, name)
+
     def named_tensors(self):
-        yield "token_embedding", self.token_embedding
-        for i, lw in enumerate(self.layers):
-            for name in ("attn_norm_gamma", "w_q", "w_k", "w_v", "w_o",
-                         "ffn_norm_gamma", "w_gate", "w_up", "w_down"):
-                yield f"layers.{i}.{name}", getattr(lw, name)
-        yield "final_norm_gamma", self.final_norm_gamma
-        if self.lm_head is not None:
-            yield "lm_head", self.lm_head
+        for name, _ in tensor_table(self.config):
+            yield name, self.tensor(name)
 
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self.named_tensors()]
@@ -196,8 +226,6 @@ class Weights:
         return sum(t.size for t in self.tensors())
 
     def checksum(self) -> bytes:
-        import hashlib
-
         h = hashlib.sha256()
         for name, t in self.named_tensors():
             h.update(name.encode())
@@ -205,62 +233,35 @@ class Weights:
         return h.digest()
 
     def clone(self) -> "Weights":
-        layers = [LayerWeights(**{
-            f: Tensor(getattr(lw, f).data.copy(), requires_grad=getattr(lw, f).requires_grad)
-            for f in ("attn_norm_gamma", "w_q", "w_k", "w_v", "w_o",
-                      "ffn_norm_gamma", "w_gate", "w_up", "w_down")})
-            for lw in self.layers]
-        return Weights(
-            config=self.config,
-            token_embedding=Tensor(self.token_embedding.data.copy(),
-                                   requires_grad=self.token_embedding.requires_grad),
-            layers=layers,
-            final_norm_gamma=Tensor(self.final_norm_gamma.data.copy(),
-                                    requires_grad=self.final_norm_gamma.requires_grad),
-            lm_head=None if self.lm_head is None else Tensor(
-                self.lm_head.data.copy(), requires_grad=self.lm_head.requires_grad),
-            frozen=self.frozen,
-        )
+        def copy(name, _):
+            t = self.tensor(name)
+            return Tensor(t.data.copy(), requires_grad=t.requires_grad)
+
+        out = Weights.build(self.config, copy)
+        out.frozen = self.frozen
+        return out
 
 
 def init_model(config: ModelConfig, seed: int, dtype=np.float32) -> Weights:
     """Deterministic initialization: scaled normal weights, unit norm scales.
 
     Residual-writing projections (w_o, w_down) use std 0.02/sqrt(2*L), all
-    other matrices std 0.02. The same (config, seed) always produces
-    bit-identical weights.
+    other matrices std 0.02. Tensors are drawn in checkpoint order, so the
+    same (config, seed) always produces bit-identical weights.
     """
     config.validate()
     rng = np.random.default_rng(seed)
     std = 0.02
     std_out = 0.02 / math.sqrt(2 * config.n_layers)
 
-    def normal(rows, cols, s):
-        return Tensor(rng.normal(0.0, s, size=(rows, cols)).astype(dtype))
+    def draw(name, axes):
+        shape = tensor_shape(config, axes)
+        if len(shape) == 1:
+            return Tensor(np.ones(shape, dtype=dtype))
+        s = std_out if name.endswith((".w_o", ".w_down")) else std
+        return Tensor(rng.normal(0.0, s, size=shape).astype(dtype))
 
-    def ones(n):
-        return Tensor(np.ones(n, dtype=dtype))
-
-    d, da, dkv, i = (config.hidden_dim, config.attn_dim, config.kv_dim,
-                     config.intermediate_dim)
-    emb = normal(config.vocab_size, d, std)
-    layers = []
-    for _ in range(config.n_layers):
-        layers.append(LayerWeights(
-            attn_norm_gamma=ones(d),
-            w_q=normal(d, da, std),
-            w_k=normal(d, dkv, std),
-            w_v=normal(d, dkv, std),
-            w_o=normal(da, d, std_out),
-            ffn_norm_gamma=ones(d),
-            w_gate=normal(d, i, std),
-            w_up=normal(d, i, std),
-            w_down=normal(i, d, std_out),
-        ))
-    final = ones(d)
-    lm_head = None if config.tied_embeddings else normal(d, config.vocab_size, std)
-    return Weights(config=config, token_embedding=emb, layers=layers,
-                   final_norm_gamma=final, lm_head=lm_head)
+    return Weights.build(config, draw)
 
 
 def _causal_mask(t: int, history: int, dtype) -> np.ndarray:
@@ -282,13 +283,13 @@ def run_block(w: Weights, tokens: Sequence[int], cache: KVCache,
     """
     cfg = w.config
     if cache.geometry != cache_shape(cfg):
-        raise ValueError(
+        raise ConfigError(
             f"cache geometry {cache.geometry} does not match model {cache_shape(cfg)}")
     ids = np.asarray(tokens, dtype=np.int64)
     if ids.size == 0:
-        raise ValueError("token block must be non-empty")
+        raise DataError("token block must be non-empty")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
-        raise ValueError(f"token id out of range for vocab {cfg.vocab_size}")
+        raise DataError(f"token id out of range for vocab {cfg.vocab_size}")
 
     t = ids.size
     dh = cfg.head_dim

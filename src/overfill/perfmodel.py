@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -66,13 +66,14 @@ def param_count(cfg: ModelConfig) -> int:
     return total
 
 
-def _pick(full_cfg: ModelConfig, pruned_cfg: ModelConfig, mode: str):
+def _pick(full, pruned, mode: str):
+    """(prefill, decode) member of a (full, pruned) pair of configs or weights."""
     if mode == "full":
-        return full_cfg, full_cfg
+        return full, full
     if mode == "pruned":
-        return pruned_cfg, pruned_cfg
+        return pruned, pruned
     if mode == "overfill":
-        return full_cfg, pruned_cfg
+        return full, pruned
     raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
 
 
@@ -128,14 +129,11 @@ def bench_wallclock(full_w: Weights, pruned_w: Weights, prompt_len: int,
     batch 1 is measured: the forward runs one sequence at a time, so a
     larger batch would reload the weights per row, unlike roofline_estimate.
     """
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
+    prefill_w, decode_w = _pick(full_w, pruned_w, mode)
     if repeats <= 0 or warmups < 0:
         raise ConfigError("repeats must be positive and warmups >= 0")
     if batch != 1:
         raise ConfigError(f"bench_wallclock measures batch 1 only, got batch {batch}")
-    prefill_w = full_w if mode in ("full", "overfill") else pruned_w
-    decode_w = pruned_w if mode in ("pruned", "overfill") else full_w
     rng = np.random.default_rng(seed)
     prompt = rng.integers(0, prefill_w.config.vocab_size, size=prompt_len, dtype=np.int64)
 
@@ -161,11 +159,13 @@ def bench_wallclock(full_w: Weights, pruned_w: Weights, prompt_len: int,
                       decode_sd=float(times[:, 1].std()))
 
 
-CSV_HEADER = ["mode", "M", "N", "batch", "prefill_s", "decode_s", "total_s", "params"]
+CSV_HEADER = ["mode", "M", "N", "batch", "prefill_s", "decode_s", "total_s", "params",
+              "prefill_sd", "decode_sd"]
 
 
 def write_cost_csv(path, reports: Sequence[CostReport]) -> None:
-    """One row per sweep point; params is the decode-model parameter count."""
+    """One row per sweep point; params is the decode-model parameter count,
+    and the *_sd columns the spread over measured repeats (0 for estimates)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as f:
@@ -174,7 +174,8 @@ def write_cost_csv(path, reports: Sequence[CostReport]) -> None:
         for r in reports:
             writer.writerow([r.mode, r.prompt_len, r.gen_len, r.batch,
                              f"{r.prefill_s:.8g}", f"{r.decode_s:.8g}",
-                             f"{r.total_s:.8g}", r.decode_params])
+                             f"{r.total_s:.8g}", r.decode_params,
+                             f"{r.prefill_sd:.8g}", f"{r.decode_sd:.8g}"])
 
 
 def reference_geometry(name: str) -> ModelConfig:

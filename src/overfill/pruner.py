@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .model import KVCache, LayerWeights, ModelConfig, Weights, run_block
+from .model import KVCache, ModelConfig, Weights, run_block
 from .tensor import Tensor
 
 
@@ -86,37 +86,16 @@ class ChannelSelection:
             check(idx, config.intermediate_dim, f"inter_idx[{li}]")
         return self
 
-    def to_json(self) -> str:
+    def save(self, path) -> None:
+        """Write the selection as canonical JSON: the record of what was kept."""
         doc = {
             "hidden_idx": [int(i) for i in self.hidden_idx],
             "inter_idx": [[int(i) for i in idx] for idx in self.inter_idx],
             "provenance": self.provenance,
         }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChannelSelection":
-        try:
-            doc = json.loads(text)
-            return cls(
-                hidden_idx=np.asarray(doc["hidden_idx"], dtype=np.int64),
-                inter_idx=[np.asarray(x, dtype=np.int64) for x in doc["inter_idx"]],
-                provenance=doc.get("provenance", {}),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise DataError(f"malformed channel selection: {exc}") from exc
-
-    def save(self, path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json())
-
-    @classmethod
-    def load(cls, path) -> "ChannelSelection":
-        path = Path(path)
-        if not path.is_file():
-            raise DataError(f"selection not found: {path}")
-        return cls.from_json(path.read_text())
+        path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def identity_selection(config: ModelConfig) -> ChannelSelection:
@@ -152,28 +131,21 @@ def collect_activations(w: Weights, calib: Sequence[np.ndarray]) -> ActivationSt
     if len(calib) == 0:
         raise DataError("calibration set is empty")
     cfg = w.config
-    per_layer = {p: [[] for _ in range(cfg.n_layers)]
-                 for p in ("pre_attn", "pre_ffn", "ffn_inner")}
+    acts = {p: [[] for _ in range(cfg.n_layers)] for p in ("pre_attn", "pre_ffn", "ffn_inner")}
+
+    def tap(layer, point, act):
+        acts[point][layer].append(act.copy())
+
     for batch in calib:
         batch = np.asarray(batch)
         if batch.ndim != 2:
             raise DataError(f"calibration batch must be [rows, seq], got {batch.shape}")
-        rows = {p: [[] for _ in range(cfg.n_layers)] for p in per_layer}
-
         for row in batch:
-            def tap(layer, point, act):
-                rows[point][layer].append(act.copy())
-
             run_block(w, row, KVCache.for_config(cfg, dtype=w.token_embedding.dtype),
                       tap=tap)
-        for point, layers in rows.items():
-            for li, acts in enumerate(layers):
-                per_layer[point][li].append(np.stack(acts))  # [rows, seq, C]
-    return ActivationStats(
-        pre_attn=[np.concatenate(per_layer["pre_attn"][li]) for li in range(cfg.n_layers)],
-        pre_ffn=[np.concatenate(per_layer["pre_ffn"][li]) for li in range(cfg.n_layers)],
-        ffn_inner=[np.concatenate(per_layer["ffn_inner"][li]) for li in range(cfg.n_layers)],
-    )
+    # Rows of every batch in collection order: [rows, seq, C] per layer.
+    return ActivationStats(**{p: [np.stack(rows) for rows in layers]
+                              for p, layers in acts.items()})
 
 
 def _hook_score(act: np.ndarray) -> np.ndarray:
@@ -212,41 +184,43 @@ def select_channels(scores: ImportanceScores, d_kept: int, i_kept: int) -> Chann
 
 def slice_model(w: Weights, sel: ChannelSelection,
                 full_cfg: ModelConfig) -> tuple[Weights, ModelConfig]:
-    """Materialize the pruned weights: keep selected hidden rows/columns in
-    every projection, embedding, and norm; keep selected intermediate
-    columns/rows in the FFN. Attention width and kv geometry are untouched."""
+    """Materialize the pruned weights: keep the selected hidden channels on
+    every "d" axis (projections, embedding, norms) and each layer's selected
+    intermediate channels on its "i" axes. Attention width and kv geometry
+    are untouched."""
     if w.config != full_cfg:
         raise ConfigError("weights do not belong to the given full config")
     sel.validate_for(full_cfg)
     h = np.asarray(sel.hidden_idx)
-    pruned_cfg = replace(
-        full_cfg, hidden_dim=int(h.size),
-        intermediate_dim=int(np.asarray(sel.inter_idx[0]).size))
-    layers = []
-    for li, lw in enumerate(w.layers):
-        m = np.asarray(sel.inter_idx[li])
-        layers.append(LayerWeights(
-            attn_norm_gamma=Tensor(lw.attn_norm_gamma.data[h].copy()),
-            w_q=Tensor(lw.w_q.data[h, :].copy()),
-            w_k=Tensor(lw.w_k.data[h, :].copy()),
-            w_v=Tensor(lw.w_v.data[h, :].copy()),
-            w_o=Tensor(lw.w_o.data[:, h].copy()),
-            ffn_norm_gamma=Tensor(lw.ffn_norm_gamma.data[h].copy()),
-            w_gate=Tensor(lw.w_gate.data[np.ix_(h, m)].copy()),
-            w_up=Tensor(lw.w_up.data[np.ix_(h, m)].copy()),
-            w_down=Tensor(lw.w_down.data[np.ix_(m, h)].copy()),
-        ))
-    lm_head = None
-    if w.lm_head is not None:
-        lm_head = Tensor(w.lm_head.data[h, :].copy())
-    pruned = Weights(
-        config=pruned_cfg,
-        token_embedding=Tensor(w.token_embedding.data[:, h].copy()),
-        layers=layers,
-        final_norm_gamma=Tensor(w.final_norm_gamma.data[h].copy()),
-        lm_head=lm_head,
-    )
-    return pruned, pruned_cfg
+    inter = [np.asarray(idx) for idx in sel.inter_idx]
+    pruned_cfg = replace(full_cfg, hidden_dim=int(h.size),
+                         intermediate_dim=int(inter[0].size))
+
+    def take(name, axes):
+        # Every tensor has a "d" axis, so the result never aliases w.
+        data = w.tensor(name).data
+        for axis, tag in enumerate(axes):
+            if tag == "d":
+                data = np.take(data, h, axis=axis)
+            elif tag == "i":
+                data = np.take(data, inter[int(name.split(".")[1])], axis=axis)
+        return Tensor(data)
+
+    return Weights.build(pruned_cfg, take), pruned_cfg
+
+
+def select_and_slice(w: Weights, scores: ImportanceScores, cfg: PruneConfig,
+                     provenance: Optional[dict] = None
+                     ) -> tuple[Weights, ModelConfig, ChannelSelection]:
+    """Select the top channels for the configured widths and slice them out."""
+    d_kept, i_kept = compute_pruned_dims(
+        w.config.hidden_dim, w.config.intermediate_dim, cfg)
+    sel = select_channels(scores, d_kept, i_kept)
+    sel.provenance = dict(provenance or {})
+    sel.provenance.update({"p_hidden": cfg.p_hidden,
+                           "p_intermediate": cfg.p_intermediate})
+    pruned, pruned_cfg = slice_model(w, sel, w.config)
+    return pruned, pruned_cfg, sel
 
 
 def prune_pipeline(w: Weights, calib: Sequence[np.ndarray], cfg: PruneConfig,
@@ -254,13 +228,7 @@ def prune_pipeline(w: Weights, calib: Sequence[np.ndarray], cfg: PruneConfig,
                    ) -> tuple[Weights, ModelConfig, ChannelSelection]:
     """Calibrate, score, select, slice: the whole path from full weights to
     a cache-compatible pruned model."""
-    d_kept, i_kept = compute_pruned_dims(
-        w.config.hidden_dim, w.config.intermediate_dim, cfg)
-    stats = collect_activations(w, calib)
-    scores = score_channels(stats)
-    sel = select_channels(scores, d_kept, i_kept)
-    sel.provenance = dict(provenance or {})
-    sel.provenance.update({"p_hidden": cfg.p_hidden,
-                           "p_intermediate": cfg.p_intermediate})
-    pruned, pruned_cfg = slice_model(w, sel, w.config)
-    return pruned, pruned_cfg, sel
+    # Reject an impossible width before the calibration pass, not after it.
+    compute_pruned_dims(w.config.hidden_dim, w.config.intermediate_dim, cfg)
+    scores = score_channels(collect_activations(w, calib))
+    return select_and_slice(w, scores, cfg, provenance)

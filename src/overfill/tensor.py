@@ -104,32 +104,20 @@ class GradTape:
         popped = _TAPE_STACK.pop()
         assert popped is self
 
-    def _record(self, out: Tensor, inputs: Sequence, backward: Callable) -> None:
-        self.nodes.append(_Node(out, tuple(inputs), backward))
-
 
 _TAPE_STACK: list[GradTape] = []
-
-
-def _active_tape() -> Optional[GradTape]:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
 def _arr(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x)
 
 
-def _needs_grad(inputs) -> bool:
-    return any(isinstance(x, Tensor) and x.requires_grad for x in inputs)
-
-
 def _emit(data: np.ndarray, inputs: Sequence, backward: Callable) -> Tensor:
     out = Tensor.__new__(Tensor)  # hot path: skip ctor dtype inference
     out.data = np.asarray(data)
-    out.requires_grad = _needs_grad(inputs)
-    tape = _active_tape()
-    if out.requires_grad and tape is not None:
-        tape._record(out, inputs, backward)
+    out.requires_grad = any(isinstance(x, Tensor) and x.requires_grad for x in inputs)
+    if out.requires_grad and _TAPE_STACK:
+        _TAPE_STACK[-1].nodes.append(_Node(out, tuple(inputs), backward))
     return out
 
 
@@ -366,44 +354,6 @@ def slice_rows(a: ArrayLike, lo: int, hi: int) -> Tensor:
         return (ga,)
 
     return _emit(av[lo:hi], (a,), backward)
-
-
-def slice_cols(a: ArrayLike, lo: int, hi: int) -> Tensor:
-    av = _arr(a)
-    if av.ndim != 2:
-        raise ShapeError(f"slice_cols expects 2-D, got {av.shape}")
-
-    def backward(g):
-        ga = np.zeros_like(av)
-        ga[:, lo:hi] = g
-        return (ga,)
-
-    return _emit(av[:, lo:hi], (a,), backward)
-
-
-def _concat(parts: Sequence[ArrayLike], axis: int) -> Tensor:
-    arrs = [_arr(p) for p in parts]
-    sizes = [a.shape[axis] for a in arrs]
-    out = np.concatenate(arrs, axis=axis)
-    bounds = np.cumsum([0] + sizes)
-
-    def backward(g):
-        slicer = [slice(None)] * g.ndim
-        grads = []
-        for i in range(len(arrs)):
-            slicer[axis] = slice(bounds[i], bounds[i + 1])
-            grads.append(g[tuple(slicer)])
-        return grads
-
-    return _emit(out, tuple(parts), backward)
-
-
-def concat_rows(parts: Sequence[ArrayLike]) -> Tensor:
-    return _concat(parts, axis=0)
-
-
-def concat_cols(parts: Sequence[ArrayLike]) -> Tensor:
-    return _concat(parts, axis=1)
 
 
 def reshape(a: ArrayLike, shape: Sequence[int]) -> Tensor:

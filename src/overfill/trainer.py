@@ -1,11 +1,11 @@
 """Teacher-forcing training with loss restricted to response tokens.
 
-Two step flavors:
-  * train_step: the two-model regime; a frozen full model writes the prompt
-    cache (no tape is recorded for it, so the cache boundary is a structural
-    stop-gradient) and only the pruned decoder is updated.
-  * train_step_standalone: one model processes the whole sequence and is
-    updated everywhere; used to fit the base model and the pruned baseline.
+One step, two regimes:
+  * with a prefill model: a frozen full model writes the prompt cache (no
+    tape is recorded for it, so the cache boundary is a structural
+    stop-gradient) and only the pruned decoder is updated;
+  * without one: one model processes the whole sequence and is updated
+    everywhere; used to fit the base model and the pruned baseline.
 
 Targets live in their own array so masked-out label positions can be
 perturbed without touching the inputs; the loss must not move.
@@ -23,7 +23,7 @@ import numpy as np
 from . import tensor as tk
 from .corpus import ChatExample, Tokenizer, format_chat
 from .errors import DataError
-from .model import KVCache, Weights, cache_shape, lm_logits, run_block
+from .model import KVCache, Weights, check_handoff, lm_logits, run_block
 from .tensor import GradTape, Tensor, grad_of
 
 
@@ -75,37 +75,18 @@ def build_batch(examples: Sequence[ChatExample], tok: Tokenizer,
     return TrainBatch(token_ids, prefill_lens, row_lengths, loss_mask, targets)
 
 
-def masked_cross_entropy(logits, targets: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Mean over masked positions of -log softmax(logits)[target].
-
-    logits may be [B, T, V] or [N, V]; targets and mask match its leading
-    shape. Unmasked rows contribute exactly zero regardless of their target.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    count = int(mask.sum())
-    if count == 0:
-        raise DataError("loss mask has no true entries")
-    shape = logits.shape
-    if len(shape) == 3:
-        logits = tk.reshape(logits, (shape[0] * shape[1], shape[2]))
-    flat_targets = np.asarray(targets).reshape(-1)
-    flat_mask = mask.reshape(-1)
-    ce = tk.cross_entropy_rows(logits, flat_targets)
-    masked = tk.mul(ce, flat_mask.astype(logits.dtype))
-    return tk.scale(tk.sum_all(masked), 1.0 / count)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
 class OptState:
-    """Decoupled-weight-decay adaptive optimizer state plus the LR schedule."""
+    """Adam optimizer state (no weight decay) plus the LR schedule."""
     base_lr: float
     warmup_ratio: float
     total_steps: int
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
 
@@ -131,22 +112,20 @@ def lr_schedule(step: int, opt: OptState) -> float:
     return opt.base_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def _adamw_update(tensors: Sequence[Tensor], grads: dict, opt: OptState) -> None:
+def _adam_update(tensors: Sequence[Tensor], grads: dict, opt: OptState) -> None:
     opt.step += 1
     # The schedule is evaluated at the 1-based step so the first update is
     # taken at a nonzero learning rate.
     lr = lr_schedule(min(opt.step, opt.total_steps), opt)
-    bc1 = 1.0 - opt.beta1 ** opt.step
-    bc2 = 1.0 - opt.beta2 ** opt.step
+    bc1 = 1.0 - ADAM_BETA1 ** opt.step
+    bc2 = 1.0 - ADAM_BETA2 ** opt.step
     for i, p in enumerate(tensors):
         g = grads[p]
-        opt.m[i] = opt.beta1 * opt.m[i] + (1.0 - opt.beta1) * g
-        opt.v[i] = opt.beta2 * opt.v[i] + (1.0 - opt.beta2) * (g * g)
+        opt.m[i] = ADAM_BETA1 * opt.m[i] + (1.0 - ADAM_BETA1) * g
+        opt.v[i] = ADAM_BETA2 * opt.v[i] + (1.0 - ADAM_BETA2) * (g * g)
         m_hat = opt.m[i] / bc1
         v_hat = opt.v[i] / bc2
-        update = m_hat / (np.sqrt(v_hat) + opt.eps)
-        if opt.weight_decay:
-            update = update + opt.weight_decay * p.data
+        update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         p.data = p.data - (lr * update).astype(p.data.dtype)
 
 
@@ -166,12 +145,9 @@ def _batch_loss_rows(prefill_w: Optional[Weights], decode_w: Weights,
         n = int(batch.row_lengths[b])
         ids = batch.token_ids[b, :n]
         cache = KVCache.for_config(decode_w.config, dtype=dtype)
-        if prefill_w is not None:
-            if m > 1:
-                run_block(prefill_w, ids[: m - 1], cache)
-            lo = m - 1
-        else:
-            lo = 0
+        lo = 0 if prefill_w is None else m - 1
+        if lo > 0:
+            run_block(prefill_w, ids[:lo], cache)
         hidden = run_block(decode_w, ids[lo: n - 1], cache)
         logits = lm_logits(decode_w, hidden)
         ce = tk.cross_entropy_rows(logits, batch.targets[b, lo: n - 1])
@@ -186,33 +162,22 @@ def _batch_loss_rows(prefill_w: Optional[Weights], decode_w: Weights,
     return tk.scale(acc, 1.0 / total)
 
 
-def train_step(full_w: Weights, pruned_w: Weights, batch: TrainBatch,
+def train_step(prefill_w: Optional[Weights], w: Weights, batch: TrainBatch,
                opt: OptState) -> tuple[Weights, OptState, float]:
-    """One update of the pruned decoder against frozen full-model prefill."""
-    if not full_w.frozen:
-        raise ValueError("full model must be frozen for two-model training")
-    if cache_shape(full_w.config) != cache_shape(pruned_w.config):
-        raise ValueError("full and pruned cache geometries differ")
-    if full_w.config.vocab_size != pruned_w.config.vocab_size:
-        raise ValueError("full and pruned vocabularies differ")
-    with GradTape() as tape:
-        loss = _batch_loss_rows(full_w, pruned_w, batch)
-    params = pruned_w.tensors()
-    grads = grad_of(loss, tape, params)
-    _adamw_update(params, grads, opt)
-    return pruned_w, opt, loss.item()
-
-
-def train_step_standalone(w: Weights, batch: TrainBatch,
-                          opt: OptState) -> tuple[Weights, OptState, float]:
-    """One update of a single model doing its own prefill and decode."""
+    """One update of w. With a (frozen) prefill model, it writes each row's
+    prompt cache and w is trained on the response block that follows;
+    without one, w processes and is trained on whole rows."""
+    if prefill_w is not None:
+        if not prefill_w.frozen:
+            raise ValueError("full model must be frozen for two-model training")
+        check_handoff(prefill_w.config, w.config)
     if w.frozen:
         raise ValueError("cannot train a frozen model")
     with GradTape() as tape:
-        loss = _batch_loss_rows(None, w, batch)
+        loss = _batch_loss_rows(prefill_w, w, batch)
     params = w.tensors()
     grads = grad_of(loss, tape, params)
-    _adamw_update(params, grads, opt)
+    _adam_update(params, grads, opt)
     return w, opt, loss.item()
 
 
@@ -242,13 +207,19 @@ def _batch_stream(n_examples: int, batch_size: int, seed: int):
             yield order[lo: lo + batch_size]
 
 
-def run_training(step_fn: Callable[[TrainBatch, OptState], float],
-                 opt: OptState, examples: Sequence[ChatExample], tok: Tokenizer,
-                 *, steps: int, batch_size: int, max_seq_len: int, data_seed: int,
+def run_training(prefill_w: Optional[Weights], w: Weights,
+                 examples: Sequence[ChatExample], tok: Tokenizer,
+                 *, steps: int, batch_size: int, max_seq_len: int,
+                 base_lr: float, warmup_ratio: float, data_seed: int,
                  checkpoint_every: Optional[int] = None,
                  checkpoint_fn: Optional[Callable[[int], None]] = None,
                  ) -> list[TrainLogRow]:
-    """Drive step_fn for a fixed number of steps over reshuffled batches."""
+    """Train w for a fixed number of steps over reshuffled batches, behind a
+    frozen prefill model when one is given (see train_step)."""
+    if prefill_w is not None:
+        prefill_w.freeze()
+    w.set_requires_grad(True)
+    opt = OptState.for_weights(w, base_lr, warmup_ratio, steps)
     if batch_size > len(examples):
         raise DataError(f"batch size {batch_size} exceeds dataset size {len(examples)}")
     stream = _batch_stream(len(examples), batch_size, data_seed)
@@ -257,87 +228,10 @@ def run_training(step_fn: Callable[[TrainBatch, OptState], float],
     for step in range(1, steps + 1):
         idx = next(stream)
         batch = build_batch([examples[i] for i in idx], tok, max_seq_len)
-        loss = step_fn(batch, opt)
+        _, _, loss = train_step(prefill_w, w, batch, opt)
         tokens_seen += int(batch.row_lengths.sum())
         rows.append(TrainLogRow(step, lr_schedule(min(opt.step, opt.total_steps), opt),
                                 loss, tokens_seen))
         if checkpoint_every and checkpoint_fn and step % checkpoint_every == 0:
             checkpoint_fn(step)
     return rows
-
-
-def run_overfill_training(full_w: Weights, pruned_w: Weights,
-                          examples: Sequence[ChatExample], tok: Tokenizer,
-                          *, steps: int, batch_size: int, max_seq_len: int,
-                          base_lr: float, warmup_ratio: float, data_seed: int,
-                          checkpoint_every: Optional[int] = None,
-                          checkpoint_fn: Optional[Callable[[int], None]] = None,
-                          ) -> list[TrainLogRow]:
-    full_w.freeze()
-    pruned_w.set_requires_grad(True)
-    opt = OptState.for_weights(pruned_w, base_lr, warmup_ratio, steps)
-
-    def step_fn(batch, opt_state):
-        _, _, loss = train_step(full_w, pruned_w, batch, opt_state)
-        return loss
-
-    return run_training(step_fn, opt, examples, tok, steps=steps,
-                        batch_size=batch_size, max_seq_len=max_seq_len,
-                        data_seed=data_seed, checkpoint_every=checkpoint_every,
-                        checkpoint_fn=checkpoint_fn)
-
-
-def run_standalone_training(w: Weights, examples: Sequence[ChatExample],
-                            tok: Tokenizer, *, steps: int, batch_size: int,
-                            max_seq_len: int, base_lr: float, warmup_ratio: float,
-                            data_seed: int,
-                            checkpoint_every: Optional[int] = None,
-                            checkpoint_fn: Optional[Callable[[int], None]] = None,
-                            ) -> list[TrainLogRow]:
-    w.set_requires_grad(True)
-    opt = OptState.for_weights(w, base_lr, warmup_ratio, steps)
-
-    def step_fn(batch, opt_state):
-        _, _, loss = train_step_standalone(w, batch, opt_state)
-        return loss
-
-    return run_training(step_fn, opt, examples, tok, steps=steps,
-                        batch_size=batch_size, max_seq_len=max_seq_len,
-                        data_seed=data_seed, checkpoint_every=checkpoint_every,
-                        checkpoint_fn=checkpoint_fn)
-
-
-def position_prob_profile(full_w: Weights, pruned_w: Weights,
-                          eval_set: Sequence[ChatExample], max_pos: int,
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Teacher-forced probability of each reference token, bucketed by its
-    1-based output position and averaged over the examples reaching it.
-
-    Pass the same weights twice to profile a standalone model. Returns
-    (mean_probs[max_pos], counts[max_pos]); empty positions hold NaN.
-    """
-    if len(eval_set) == 0:
-        raise DataError("profile needs a non-empty eval set")
-    tok = Tokenizer()
-    sums = np.zeros(max_pos, dtype=np.float64)
-    counts = np.zeros(max_pos, dtype=np.int64)
-    for ex in eval_set:
-        ids, m = format_chat(ex, tok)
-        ids_arr = np.asarray(ids, dtype=np.int64)
-        n = ids_arr.size
-        cache = KVCache.for_config(full_w.config,
-                                   dtype=full_w.token_embedding.dtype)
-        if m > 1:
-            run_block(full_w, ids_arr[: m - 1], cache)
-        hidden = run_block(pruned_w, ids_arr[m - 1: n - 1], cache)
-        logits = lm_logits(pruned_w, hidden)
-        probs = tk.softmax_rows(logits).numpy()
-        ref = ids_arr[m:]
-        picked = probs[np.arange(ref.size), ref]
-        upto = min(ref.size, max_pos)
-        sums[:upto] += picked[:upto]
-        counts[:upto] += 1
-    means = np.full(max_pos, np.nan)
-    nz = counts > 0
-    means[nz] = sums[nz] / counts[nz]
-    return means, counts

@@ -99,3 +99,26 @@ def test_config_file_unknown_key_rejected(tmp_path):
     path.write_text(json.dumps(d))
     with pytest.raises(DataError, match="mystery"):
         load_config(path)
+
+
+@pytest.mark.parametrize("cut", ["magic", "header_len", "header", "middle", "short4"])
+def test_truncated_checkpoint_rejected(tmp_path, cut):
+    w = init_model(TINY_CONFIG, seed=0)
+    path = tmp_path / "m.ovfl"
+    save_checkpoint(path, w)
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 5)
+    keep = {"magic": 3, "header_len": 7, "header": 9 + header_len // 2,
+            "middle": len(raw) // 2, "short4": len(raw) - 4}[cut]
+    path.write_bytes(raw[:keep])
+    with pytest.raises(DataError, match="bad magic|truncated checkpoint"):
+        load_checkpoint(path, TINY_CONFIG)
+
+
+def test_loaded_tensors_are_writable_views_of_one_buffer(tmp_path):
+    path = tmp_path / "m.ovfl"
+    save_checkpoint(path, init_model(TINY_CONFIG, seed=0))
+    tensors = [t.data for t in load_checkpoint(path, TINY_CONFIG).tensors()]
+    base = tensors[0].base
+    assert base is not None and all(a.base is base for a in tensors)
+    assert all(a.dtype == np.float32 and a.flags.writeable for a in tensors)

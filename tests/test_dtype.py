@@ -44,9 +44,6 @@ OP_CASES = {
     "rope_rows": lambda a, dt: tk.rope_rows(a["x"], [0, 2, 5], 2, 100.0),
     "embedding": lambda a, dt: tk.embedding(a["x"], [2, 0, 2]),
     "slice_rows": lambda a, dt: tk.slice_rows(a["x"], 1, 3),
-    "slice_cols": lambda a, dt: tk.slice_cols(a["x"], 1, 3),
-    "concat_rows": lambda a, dt: tk.concat_rows([a["x"], a["x"]]),
-    "concat_cols": lambda a, dt: tk.concat_cols([a["x"], a["x"]]),
     "reshape": lambda a, dt: tk.reshape(a["x"], (4, 3)),
     "sum_all": lambda a, dt: tk.sum_all(a["x"]),
     "cross_entropy_rows": lambda a, dt: tk.cross_entropy_rows(a["x"], [0, 3, 1]),

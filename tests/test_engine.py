@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from overfill import engine
 from overfill.engine import (GenParams, baseline_generate, evaluate_exact_match,
-                             generate_session, make_rng, overfill_generate, sample)
+                             generate, make_rng, overfill_generate, sample)
 from overfill.model import (DESK_CONFIG, KVCache, decode_step, forward_prefill,
                             init_model)
 from overfill.pruner import (ImportanceScores, identity_selection, select_channels,
@@ -84,10 +85,9 @@ def test_baseline_equals_overfill_with_same_weights(full_w):
 
 def test_zero_new_tokens_fills_cache_to_prompt_length(full_w, pruned_w):
     prompt = prompts(1, length=6, seed=3)[0]
-    session = generate_session(full_w, pruned_w, prompt,
-                               GenParams(max_new_tokens=0), mode="overfill")
-    assert session.emitted == []
-    assert session.cache.filled_len == len(prompt)
+    out, cache = generate(full_w, pruned_w, prompt, GenParams(max_new_tokens=0))
+    assert out == []
+    assert cache.filled_len == len(prompt)
 
 
 def test_overfill_matches_manual_two_model_reference(full_w, pruned_w):
@@ -133,11 +133,25 @@ def test_cache_geometry_mismatch_rejected(full_w):
         overfill_generate(full_w, other, [1, 2, 3], GenParams(max_new_tokens=1))
 
 
-def test_full_model_consulted_exactly_once(full_w, pruned_w):
-    session = generate_session(full_w, pruned_w, prompts(1, seed=6)[0],
-                               GenParams(max_new_tokens=8), mode="overfill")
-    assert session.prefill_calls == 1
-    assert session.decode_calls == 1 + len(session.emitted) - 1
+def test_full_model_consulted_exactly_once(full_w, pruned_w, monkeypatch):
+    calls = []
+
+    def counted(name):
+        fn = getattr(engine, name)
+
+        def wrapper(w, *args):
+            calls.append((name, w))
+            return fn(w, *args)
+        monkeypatch.setattr(engine, name, wrapper)
+
+    counted("forward_prefill")
+    counted("decode_step")
+    out = overfill_generate(full_w, pruned_w, prompts(1, seed=6)[0],
+                            GenParams(max_new_tokens=8))
+    # One prefill by the full model, then one decode step by the pruned model
+    # for the last prompt token and for every emitted token but the last.
+    assert calls == [("forward_prefill", full_w)] + [("decode_step", pruned_w)] * len(out)
+    assert len(out) == 8
 
 
 def test_cache_writer_boundary(full_w, pruned_w):
@@ -145,19 +159,18 @@ def test_cache_writer_boundary(full_w, pruned_w):
     # pruned decoder's, replayed here over the same tokens. Row M-1 is not
     # what the full model would have written there.
     prompt = prompts(1, length=7, seed=7)[0]
-    session = generate_session(full_w, pruned_w, prompt,
-                               GenParams(max_new_tokens=4), mode="overfill")
+    out, cache = generate(full_w, pruned_w, prompt, GenParams(max_new_tokens=4))
     m = len(prompt)
     ref = KVCache.for_config(DESK_CONFIG)
     forward_prefill(full_w, prompt[:-1], ref)
     full_next = KVCache.for_config(DESK_CONFIG)
     forward_prefill(full_w, prompt, full_next)
-    for tok in [prompt[-1]] + session.emitted[:-1]:
+    for tok in [prompt[-1]] + out[:-1]:
         decode_step(pruned_w, tok, ref, ref.filled_len)
-    assert session.cache.filled_len == ref.filled_len == m + 3
+    assert cache.filled_len == ref.filled_len == m + 3
     for layer in range(DESK_CONFIG.n_layers):
         for rows in ("keys", "values"):
-            got = getattr(session.cache, rows)(layer)
+            got = getattr(cache, rows)(layer)
             np.testing.assert_array_equal(got, getattr(ref, rows)(layer))
             assert not np.array_equal(got[m - 1], getattr(full_next, rows)(layer)[m - 1])
 
@@ -170,20 +183,8 @@ def test_generation_deterministic_across_runs(full_w, pruned_w):
     assert a == b and len(a) == 20
 
 
-def test_first_token_from_full_flag(full_w, pruned_w):
-    prompt = prompts(1, length=8, seed=9)[0]
-    params = GenParams(max_new_tokens=6, temperature=0.0, seed=0)
-    alt = overfill_generate(full_w, pruned_w, prompt, params,
-                            first_token_from_full=True)
-    # y1 must equal the full model's own continuation choice
-    cache = KVCache.for_config(DESK_CONFIG)
-    _, logits, _ = forward_prefill(full_w, prompt, cache)
-    assert alt[0] == int(np.argmax(logits.numpy()))
-    assert len(alt) == 6
-
-
 def test_evaluate_exact_match_bounds(full_w):
     tok = Tokenizer()
     examples = gen_tasks("copy", 0, 5)
-    acc = evaluate_exact_match(full_w, None, examples, tok, mode="full")
+    acc = evaluate_exact_match(full_w, full_w, examples, tok)
     assert 0.0 <= acc <= 1.0

@@ -156,6 +156,33 @@ def test_decode_appends_exactly_one_row_per_layer():
         assert cache.keys(layer).shape == (1, DESK_CONFIG.n_kv_heads, DESK_CONFIG.head_dim)
 
 
+def test_cache_keeps_its_buffers_for_the_decode_step_after_a_long_prefill():
+    cache = KVCache.for_config(TINY_CONFIG)
+    rng = np.random.default_rng(0)
+    cache.append_block(255)
+    rows = [cache.keys(li) for li in range(TINY_CONFIG.n_layers)]
+    rows += [cache.values(li) for li in range(TINY_CONFIG.n_layers)]
+    for r in rows:
+        r[:] = rng.normal(size=r.shape)
+    before = [r.copy() for r in rows]
+    assert cache.append_block(1) == 255
+    after = [cache.keys(li) for li in range(TINY_CONFIG.n_layers)]
+    after += [cache.values(li) for li in range(TINY_CONFIG.n_layers)]
+    for old, new, saved in zip(rows, after, before):
+        assert np.shares_memory(old, new)
+        np.testing.assert_array_equal(new[:255], saved)
+
+
+def test_cache_growth_keeps_history():
+    cache = KVCache.for_config(TINY_CONFIG)
+    cache.append_block(3)
+    cache.keys(1)[:] = 7.0
+    for t in (70, 1, 200):
+        cache.append_block(t)
+    assert cache.filled_len == 274
+    assert (cache.keys(1)[:3] == 7.0).all() and cache.keys(1).shape[0] == 274
+
+
 # ---------------------------------------------------------------------------
 # causality
 # ---------------------------------------------------------------------------

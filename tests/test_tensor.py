@@ -238,9 +238,6 @@ FD_CASES = {
         tk.mul(tk.rope_rows(ts[0], [0, 2, 5], 2, 100.0), _W(3, 4))),
     "embedding": lambda ts: tk.sum_all(tk.mul(tk.embedding(ts[0], [2, 0, 2]), _W(3, 4))),
     "slice_rows": lambda ts: tk.sum_all(tk.mul(tk.slice_rows(ts[0], 1, 3), _W(2, 4))),
-    "slice_cols": lambda ts: tk.sum_all(tk.mul(tk.slice_cols(ts[0], 1, 3), _W(3, 2))),
-    "concat_rows": lambda ts: tk.sum_all(tk.mul(tk.concat_rows([ts[0], ts[0]]), _W(6, 4))),
-    "concat_cols": lambda ts: tk.sum_all(tk.mul(tk.concat_cols([ts[0], ts[0]]), _W(3, 8))),
     "reshape": lambda ts: tk.sum_all(tk.mul(tk.reshape(ts[0], (4, 3)), _W(4, 3))),
     "sum_all": lambda ts: tk.sum_all(ts[0]),
     "cross_entropy_rows": lambda ts: tk.sum_all(

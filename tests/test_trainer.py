@@ -6,14 +6,11 @@ import pytest
 
 from overfill.corpus import ChatExample, Tokenizer, format_chat, gen_mixture, gen_tasks
 from overfill.errors import DataError
-from overfill.model import KVCache, Weights, init_model, lm_logits, run_block
+from overfill.model import init_model
 from overfill.pruner import ImportanceScores, identity_selection, select_channels, slice_model
-from overfill.tensor import GradTape, Tensor, grad_of
-from overfill import tensor as tk
-from overfill.trainer import (OptState, TrainBatch, build_batch, lr_schedule,
-                              masked_cross_entropy, position_prob_profile,
-                              run_overfill_training, run_standalone_training,
-                              train_step, train_step_standalone, write_training_log)
+from overfill.tensor import GradTape, grad_of
+from overfill.trainer import (OptState, TrainBatch, _batch_loss_rows, build_batch,
+                              lr_schedule, run_training, train_step, write_training_log)
 
 from helpers import TINY_CONFIG
 
@@ -79,63 +76,89 @@ def test_build_batch_skips_fully_truncated_responses():
 
 
 # ---------------------------------------------------------------------------
-# masked cross entropy
+# masked cross entropy (the response-only loss of _batch_loss_rows)
 # ---------------------------------------------------------------------------
 
+def tiny_batch(seed=2):
+    """Two hand-built rows over the tiny vocabulary with partial loss masks."""
+    token_ids = np.random.default_rng(seed).integers(0, TINY_CONFIG.vocab_size, size=(2, 10))
+    batch = TrainBatch(token_ids=token_ids, prefill_lens=np.array([4, 6]),
+                       row_lengths=np.array([10, 9]), loss_mask=np.zeros((2, 10), bool),
+                       targets=np.roll(token_ids, -1, axis=1))
+    batch.loss_mask[0, 3:9] = True
+    batch.loss_mask[1, 5:8] = True
+    return batch
+
+
 def test_masked_ce_perfect_logits_near_zero():
-    targets = np.array([[1, 2]])
-    logits = np.full((1, 2, 4), -30.0, dtype=np.float32)
-    logits[0, 0, 1] = 30.0
-    logits[0, 1, 2] = 30.0
-    loss = masked_cross_entropy(Tensor(logits), targets, np.ones((1, 2), bool))
-    assert loss.item() < 1e-6
+    # With every projection zeroed the residual stream is the embedding, here
+    # a one-hot row, and an untied head that maps token t to t + 1 with a
+    # large logit predicts a counting sequence with certainty.
+    cfg = dataclasses.replace(TINY_CONFIG, vocab_size=8, tied_embeddings=False)
+    w = init_model(cfg, seed=0, dtype=np.float64)
+    for lw in w.layers:
+        for name in ("w_q", "w_k", "w_v", "w_o", "w_gate", "w_up", "w_down"):
+            getattr(lw, name).data[:] = 0.0
+    w.token_embedding.data[:] = np.eye(8)
+    w.lm_head.data[:] = 30.0 * np.roll(np.eye(8), 1, axis=1)
+    token_ids = np.array([[3, 4, 5, 6, 7, 0, 1, 2]])
+    batch = TrainBatch(token_ids, np.array([3]), np.array([8]),
+                       np.arange(8)[None, :] >= 2, np.roll(token_ids, -1, axis=1))
+    batch.loss_mask[0, 7] = False
+    for prefill_w in (None, w):
+        assert _batch_loss_rows(prefill_w, w, batch).item() < 1e-6
 
 
 def test_masked_ce_uniform_logits_log_vocab():
-    v = 11
-    loss = masked_cross_entropy(Tensor(np.zeros((2, 3, v))),
-                                np.zeros((2, 3), dtype=int), np.ones((2, 3), bool))
-    assert abs(loss.item() - math.log(v)) < 1e-6
+    # A zero embedding gives zero hidden states and, through the tied head,
+    # uniform logits in both regimes.
+    w = init_model(TINY_CONFIG, seed=0, dtype=np.float64)
+    w.token_embedding.data[:] = 0.0
+    for prefill_w in (None, w):
+        loss = _batch_loss_rows(prefill_w, w, tiny_batch()).item()
+        assert abs(loss - math.log(TINY_CONFIG.vocab_size)) < 1e-12
 
 
 def test_masked_ce_ignores_masked_out_targets_bitwise():
-    rng = np.random.default_rng(0)
-    logits = Tensor(rng.normal(size=(2, 4, 9)).astype(np.float32))
-    targets = rng.integers(0, 9, size=(2, 4))
-    mask = np.zeros((2, 4), bool)
-    mask[0, 1] = mask[1, 2] = True
-    base = masked_cross_entropy(logits, targets, mask).item()
-    perturbed = targets.copy()
-    perturbed[~mask] = (perturbed[~mask] + 3) % 9
-    assert masked_cross_entropy(logits, perturbed, mask).item() == base
+    # The standalone regime; the two-model one is pinned by
+    # test_train_step_loss_invariant_to_prompt_target_perturbation.
+    w = init_model(TINY_CONFIG, seed=1)
+    batch = tiny_batch()
+    base = _batch_loss_rows(None, w, batch).item()
+    batch.targets[~batch.loss_mask] = (batch.targets[~batch.loss_mask] + 3) % 13
+    assert _batch_loss_rows(None, w, batch).item() == base
 
 
 def test_masked_ce_all_false_mask_rejected():
+    w = init_model(TINY_CONFIG, seed=0)
+    batch = tiny_batch()
+    batch.loss_mask[:] = False
     with pytest.raises(DataError, match="mask"):
-        masked_cross_entropy(Tensor(np.zeros((1, 2, 3))),
-                             np.zeros((1, 2), int), np.zeros((1, 2), bool))
+        _batch_loss_rows(None, w, batch)
 
 
 def test_masked_ce_gradient_matches_finite_differences():
-    rng = np.random.default_rng(1)
-    logits = rng.normal(size=(6, 5))
-    targets = rng.integers(0, 5, size=6)
-    mask = np.array([1, 1, 0, 1, 0, 1], bool)
-
-    t = Tensor(logits.astype(np.float64), requires_grad=True)
+    # The standalone regime, float64; the two-model one is checked end to end below.
+    w = init_model(TINY_CONFIG, seed=1, dtype=np.float64).set_requires_grad(True)
+    batch = tiny_batch(seed=4)
     with GradTape() as tape:
-        loss = masked_cross_entropy(t, targets, mask)
-    g = grad_of(loss, tape, [t])[t]
+        loss = _batch_loss_rows(None, w, batch)
+    params = w.tensors()
+    grads = grad_of(loss, tape, params)
 
     h = 1e-5
-    for idx in [(0, 1), (2, 3), (5, 0)]:
-        t.data[idx] += h
-        up = masked_cross_entropy(t, targets, mask).item()
-        t.data[idx] -= 2 * h
-        dn = masked_cross_entropy(t, targets, mask).item()
-        t.data[idx] += h
-        fd = (up - dn) / (2 * h)
-        assert abs(fd - g[idx]) < 1e-6
+    pick = np.random.default_rng(5)
+    for p in params:
+        flat, gflat = p.data.reshape(-1), grads[p].reshape(-1)
+        for idx in pick.choice(flat.size, size=min(3, flat.size), replace=False):
+            orig = flat[idx]
+            flat[idx] = orig + h
+            up = _batch_loss_rows(None, w, batch).item()
+            flat[idx] = orig - h
+            dn = _batch_loss_rows(None, w, batch).item()
+            flat[idx] = orig
+            fd = (up - dn) / (2 * h)
+            assert abs(fd - gflat[idx]) <= 1e-3 * max(abs(fd), abs(gflat[idx]), 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -235,22 +258,7 @@ def test_train_step_gradients_match_finite_differences_end_to_end():
     full = init_model(cfg, seed=0, dtype=np.float64).freeze()
     pruned = init_model(cfg, seed=1, dtype=np.float64)
     pruned.set_requires_grad(True)
-    examples = [ChatExample("", "ab", "cd", "copy"),
-                ChatExample("", "xy", "z", "copy")]
-    # map text bytes into the tiny vocab by hand-building a batch
-    rng = np.random.default_rng(2)
-    token_ids = rng.integers(0, cfg.vocab_size, size=(2, 10))
-    batch = TrainBatch(
-        token_ids=token_ids,
-        prefill_lens=np.array([4, 6]),
-        row_lengths=np.array([10, 9]),
-        loss_mask=np.zeros((2, 10), bool),
-        targets=np.roll(token_ids, -1, axis=1),
-    )
-    batch.loss_mask[0, 3:9] = True
-    batch.loss_mask[1, 5:8] = True
-
-    from overfill.trainer import _batch_loss_rows
+    batch = tiny_batch()
 
     with GradTape() as tape:
         loss = _batch_loss_rows(full, pruned, batch)
@@ -279,8 +287,8 @@ def test_train_step_gradients_match_finite_differences_end_to_end():
 def test_standalone_training_decreases_loss():
     cfg = desk_small()
     w = init_model(cfg, seed=6)
-    rows = run_standalone_training(
-        w, tiny_examples(16, seed=8), TOK, steps=15, batch_size=4,
+    rows = run_training(
+        None, w, tiny_examples(16, seed=8), TOK, steps=15, batch_size=4,
         max_seq_len=96, base_lr=1e-3, warmup_ratio=0.05, data_seed=0)
     assert rows[-1].loss < rows[0].loss
     assert rows[-1].tokens_seen > rows[0].tokens_seen
@@ -296,7 +304,7 @@ def test_training_determinism_bit_identical():
         scores = ImportanceScores(rng.random(cfg.hidden_dim),
                                   [rng.random(cfg.intermediate_dim)] * cfg.n_layers)
         pruned, _ = slice_model(full, select_channels(scores, 32, 64), cfg)
-        rows = run_overfill_training(
+        rows = run_training(
             full, pruned, tiny_examples(12, seed=9), TOK, steps=8, batch_size=4,
             max_seq_len=96, base_lr=1e-3, warmup_ratio=0.1, data_seed=5)
         return rows[-1].loss, pruned.checksum()
@@ -314,58 +322,3 @@ def test_write_training_log(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "step,lr,loss,tokens_seen"
     assert lines[1] == "1,0.001,2.5,64"
-
-
-# ---------------------------------------------------------------------------
-# position probability profile
-# ---------------------------------------------------------------------------
-
-def test_profile_identity_slice_equals_full_profile():
-    cfg = desk_small()
-    full, _ = make_pair(cfg, seed=8)
-    ident, _ = slice_model(full, identity_selection(cfg), cfg)
-    eval_set = gen_tasks("kvlookup", 21, 6)
-    a, ca = position_prob_profile(full, ident, eval_set, max_pos=8)
-    b, cb = position_prob_profile(full, full, eval_set, max_pos=8)
-    np.testing.assert_array_equal(ca, cb)
-    np.testing.assert_allclose(a, b, atol=1e-7)
-
-
-def test_profile_probabilities_in_unit_interval():
-    cfg = desk_small()
-    full, pruned = make_pair(cfg, seed=9)
-    probs, counts = position_prob_profile(full, pruned, gen_tasks("copy", 2, 5),
-                                          max_pos=12)
-    valid = probs[counts > 0]
-    assert ((valid >= 0) & (valid <= 1)).all()
-    assert np.isnan(probs[counts == 0]).all()
-
-
-def test_profile_matches_manual_scoring():
-    cfg = desk_small()
-    full, pruned = make_pair(cfg, seed=10)
-    eval_set = gen_tasks("copy", 3, 3)
-    probs, counts = position_prob_profile(full, pruned, eval_set, max_pos=6)
-
-    sums = np.zeros(6)
-    n = np.zeros(6)
-    for ex in eval_set:
-        ids, m = format_chat(ex, TOK)
-        cache = KVCache.for_config(cfg)
-        run_block(full, ids[:m - 1], cache)
-        hidden = run_block(pruned, ids[m - 1:len(ids) - 1], cache)
-        logits = lm_logits(pruned, hidden).numpy()
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        p = e / e.sum(axis=1, keepdims=True)
-        for j, target in enumerate(ids[m:]):
-            if j < 6:
-                sums[j] += p[j, target]
-                n[j] += 1
-    np.testing.assert_allclose(probs[n > 0], sums[n > 0] / n[n > 0], atol=1e-6)
-
-
-def test_profile_empty_eval_set_rejected():
-    cfg = desk_small()
-    full, pruned = make_pair(cfg, seed=11)
-    with pytest.raises(DataError):
-        position_prob_profile(full, pruned, [], max_pos=4)
