@@ -130,15 +130,23 @@ def save_config(path: PathLike, config: ModelConfig) -> None:
     path.write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
-def load_config(path: PathLike) -> ModelConfig:
+def read_json_object(path: PathLike, what: str) -> dict:
+    """The object a JSON file holds; DataError naming `what` if the file is
+    missing, is not valid JSON, or holds anything but an object."""
     path = Path(path)
     if not path.is_file():
-        raise DataError(f"config not found: {path}")
+        raise DataError(f"{what} not found: {path}")
     try:
-        d = json.loads(path.read_text())
+        doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"invalid {what}: /: expected an object")
+    return doc
+
+
+def load_config(path: PathLike) -> ModelConfig:
     try:
-        return ModelConfig.from_dict(d)
+        return ModelConfig.from_dict(read_json_object(path, "model config"))
     except ConfigError as exc:
         raise DataError(f"{path}: {exc}") from exc

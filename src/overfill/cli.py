@@ -2,10 +2,7 @@
 calibration, pruning, two-model training, generation, evaluation, and
 benchmarking.
 
-Exit codes: 0 success, 1 usage error, 2 data or format error. Kernel
-parallelism is capped via OVERFILL_THREADS (default 1, for bit-identical
-reruns); heavy imports happen after that cap is applied, so this module
-must import only the standard library at the top level.
+Exit codes: 0 success, 1 usage error, 2 data or format error.
 """
 
 from __future__ import annotations
@@ -14,14 +11,23 @@ import argparse
 import copy
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
-_THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+import numpy as np
 
-MODES = ("full", "pruned", "overfill")
+from .checkpoint import (load_checkpoint, load_config, read_json_object, save_checkpoint,
+                         save_config)
+from .corpus import (ChatExample, Tokenizer, format_chat, gen_tasks, load_dataset,
+                     pack_calibration_batches, save_dataset)
+from .engine import MODES, GenParams, evaluate_exact_match, generate
+from .errors import ConfigError, DataError
+from .model import DESK_CONFIG, ModelConfig, init_model
+from .perfmodel import (REFERENCE_GEOMETRIES, HardwareSpec, bench_wallclock, param_count,
+                        reference_geometry, roofline_estimate, write_cost_csv)
+from .pruner import (ImportanceScores, PruneConfig, collect_activations, compute_pruned_dims,
+                     score_channels, select_and_slice)
+from .trainer import run_training, write_training_log
 
 EVAL_SEED_OFFSET = 104729  # keeps held-out example streams away from training ones
 
@@ -53,44 +59,38 @@ def _section(defaults) -> dict:
             for f in dataclasses.fields(defaults)}
 
 
-def run_schema() -> dict:
-    """The run config schema: key -> (accepted types, default) or a section.
-    Built on call, since the config classes' modules import numpy."""
-    from .model import DESK_CONFIG
-    from .perfmodel import HardwareSpec
-    from .pruner import PruneConfig
-
-    return {
-        "seed": (int, 0),
-        "model": _section(DESK_CONFIG),
-        "prune": _section(PruneConfig(p_hidden=0.5, p_intermediate=0.5)),
-        "train": {
-            "base_lr": (_NUM, 1e-3),
-            "warmup_ratio": (_NUM, 0.01),
-            "batch_size": (int, 16),
-            "max_seq_len": (int, 96),
-            "base_steps": (int, 600),
-            "overfill_steps": (int, 300),
-            "checkpoint_every": (int, 0),
-            "kinds": (list, ["copy", "reverse", "modadd", "kvlookup"]),
-            "train_per_kind": (int, 2000),
-            "eval_per_kind": (int, 100),
-        },
-        "gen": {
-            "max_new_tokens": (int, 32),
-            "temperature": (_NUM, 0.0),
-        },
-        "bench": {
-            "prompt_len": (int, 64),
-            "gen_lens": (list, [32, 64, 128]),
-            "batch": (int, 1),
-            "repeats": (int, 5),
-            "warmups": (int, 2),
-            "hardware": _section(HardwareSpec()),
-            "roofline_full_geometry": ((str, type(None)), None),
-            "roofline_pruned_geometry": ((str, type(None)), None),
-        },
-    }
+# The run config schema: key -> (accepted types, default) or a section.
+RUN_SCHEMA = {
+    "seed": (int, 0),
+    "model": _section(DESK_CONFIG),
+    "prune": _section(PruneConfig(p_hidden=0.5, p_intermediate=0.5)),
+    "train": {
+        "base_lr": (_NUM, 1e-3),
+        "warmup_ratio": (_NUM, 0.01),
+        "batch_size": (int, 16),
+        "max_seq_len": (int, 96),
+        "base_steps": (int, 600),
+        "overfill_steps": (int, 300),
+        "checkpoint_every": (int, 0),
+        "kinds": (list, ["copy", "reverse", "modadd", "kvlookup"]),
+        "train_per_kind": (int, 2000),
+        "eval_per_kind": (int, 100),
+    },
+    "gen": {
+        "max_new_tokens": (int, 32),
+        "temperature": (_NUM, 0.0),
+    },
+    "bench": {
+        "prompt_len": (int, 64),
+        "gen_lens": (list, [32, 64, 128]),
+        "batch": (int, 1),
+        "repeats": (int, 5),
+        "warmups": (int, 2),
+        "hardware": _section(HardwareSpec()),
+        "roofline_full_geometry": ((str, type(None)), None),
+        "roofline_pruned_geometry": ((str, type(None)), None),
+    },
+}
 
 
 def _validate_section(schema: dict, doc, pointer: str, errors: list) -> dict:
@@ -121,51 +121,29 @@ def _validate_section(schema: dict, doc, pointer: str, errors: list) -> dict:
     return out
 
 
-def _read_json(path: str):
-    from .errors import DataError
-
-    p = Path(path)
-    if not p.is_file():
-        raise DataError(f"config file not found: {p}")
-    try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{p}: not valid JSON: {exc}") from exc
-
-
 def load_run_config(path: str) -> dict:
-    from .errors import DataError
-
     errors: list[str] = []
-    cfg = _validate_section(run_schema(), _read_json(path), "", errors)
+    cfg = _validate_section(RUN_SCHEMA, read_json_object(path, "run config"), "", errors)
     if errors:
         raise DataError("invalid run config: " + "; ".join(errors))
     return cfg
 
 
 def _model_config(cfg: dict):
-    from .model import ModelConfig
-
     return ModelConfig.from_dict(cfg["model"])
 
 
 def _prune_config(cfg: dict):
-    from .pruner import PruneConfig
-
     return PruneConfig(**cfg["prune"]).validate()
 
 
 def _require(path: Path, what: str) -> Path:
-    from .errors import DataError
-
     if not path.exists():
         raise DataError(f"{what} not found: {path} (run the earlier pipeline steps first)")
     return path
 
 
 def _load_model(run_dir: Path, stem: str):
-    from .checkpoint import load_checkpoint, load_config
-
     ckpt = _require(run_dir / "checkpoints" / f"{stem}.ovfl", f"{stem} checkpoint")
     cfg = load_config(_require(run_dir / "checkpoints" / f"{stem}.config.json",
                                f"{stem} config"))
@@ -173,24 +151,17 @@ def _load_model(run_dir: Path, stem: str):
 
 
 def _save_model(run_dir: Path, stem: str, weights) -> None:
-    from .checkpoint import save_checkpoint, save_config
-
     save_checkpoint(run_dir / "checkpoints" / f"{stem}.ovfl", weights)
     save_config(run_dir / "checkpoints" / f"{stem}.config.json", weights.config)
 
 
 def _train_examples(cfg: dict, run_dir: Path):
-    from . import corpus
-    from .errors import DataError
-
     examples = []
     for kind in cfg["train"]["kinds"]:
         path = _require(run_dir / "data" / f"train_{kind}.jsonl", f"training data for {kind}")
-        examples.extend(corpus.load_dataset(path))
+        examples.extend(load_dataset(path))
     if not examples:
         raise DataError("no training examples found")
-    import numpy as np
-
     order = np.random.default_rng(cfg["seed"]).permutation(len(examples))
     return [examples[i] for i in order]
 
@@ -200,26 +171,22 @@ def _train_examples(cfg: dict, run_dir: Path):
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args, cfg: dict) -> int:
-    from . import corpus
-
     run_dir = Path(args.out)
     seed = cfg["seed"]
     for kind in cfg["train"]["kinds"]:
-        train = corpus.gen_tasks(kind, seed, cfg["train"]["train_per_kind"])
-        evalset = corpus.gen_tasks(kind, seed + EVAL_SEED_OFFSET,
-                                   cfg["train"]["eval_per_kind"])
-        corpus.save_dataset(run_dir / "data" / f"train_{kind}.jsonl", train, kind, seed)
-        corpus.save_dataset(run_dir / "data" / f"eval_{kind}.jsonl", evalset, kind,
-                            seed + EVAL_SEED_OFFSET)
+        train = gen_tasks(kind, seed, cfg["train"]["train_per_kind"])
+        evalset = gen_tasks(kind, seed + EVAL_SEED_OFFSET, cfg["train"]["eval_per_kind"])
+        save_dataset(run_dir / "data" / f"train_{kind}.jsonl", train, kind, seed)
+        save_dataset(run_dir / "data" / f"eval_{kind}.jsonl", evalset, kind,
+                     seed + EVAL_SEED_OFFSET)
         print(f"gen-data: {kind}: {len(train)} train, {len(evalset)} eval")
     return 0
 
 
-def _train(args, cfg: dict, prefill_w, w, tag: str, steps: int, data_seed: int) -> int:
-    """Train w (behind prefill_w when given) and save it under `tag`."""
-    from .corpus import Tokenizer
-    from .trainer import run_training, write_training_log
-
+def _train(args, cfg: dict, prefill_w, w, tag: str, steps_key: str, data_seed: int) -> int:
+    """Train w (behind prefill_w when given) for --steps, else the config's
+    `steps_key` count, and save it under `tag`."""
+    steps = cfg["train"][steps_key] if args.steps is None else args.steps
     run_dir = Path(args.out)
     t = cfg["train"]
     rows = run_training(
@@ -236,22 +203,15 @@ def _train(args, cfg: dict, prefill_w, w, tag: str, steps: int, data_seed: int) 
 
 
 def cmd_train_base(args, cfg: dict) -> int:
-    from .checkpoint import load_checkpoint, load_config
-    from .model import init_model
-
     if args.init_checkpoint:
         mcfg = load_config(_require(Path(args.init_config), "init model config"))
         w = load_checkpoint(_require(Path(args.init_checkpoint), "init checkpoint"), mcfg)
     else:
         w = init_model(_model_config(cfg), cfg["seed"])
-    return _train(args, cfg, None, w, args.tag, args.steps or cfg["train"]["base_steps"],
-                  cfg["seed"] + 1)
+    return _train(args, cfg, None, w, args.tag, "base_steps", cfg["seed"] + 1)
 
 
 def cmd_calibrate(args, cfg: dict) -> int:
-    from .corpus import Tokenizer, pack_calibration_batches
-    from .pruner import collect_activations, score_channels
-
     run_dir = Path(args.out)
     w = _load_model(run_dir, "base")
     pcfg = _prune_config(cfg)
@@ -274,11 +234,6 @@ def cmd_calibrate(args, cfg: dict) -> int:
 
 
 def cmd_prune(args, cfg: dict) -> int:
-    import numpy as np
-
-    from .errors import DataError
-    from .pruner import ImportanceScores, select_and_slice
-
     run_dir = Path(args.out)
     w = _load_model(run_dir, "base")
     if args.p_hidden is not None:
@@ -287,13 +242,13 @@ def cmd_prune(args, cfg: dict) -> int:
         cfg["prune"]["p_intermediate"] = args.p_inter
     pcfg = _prune_config(cfg)
     calib_path = _require(run_dir / "calibration.json", "calibration scores")
+    doc = read_json_object(calib_path, "calibration file")
     try:
-        doc = json.loads(calib_path.read_text())
         scores = ImportanceScores(
             hidden_scores=np.asarray(doc["hidden_scores"], dtype=np.float64),
             inter_scores=[np.asarray(s, dtype=np.float64) for s in doc["inter_scores"]])
         provenance = doc.get("provenance", {})
-    except (json.JSONDecodeError, KeyError) as exc:
+    except KeyError as exc:
         raise DataError(f"{calib_path}: malformed calibration file: {exc}") from exc
 
     pruned, pruned_cfg, sel = select_and_slice(w, scores, pcfg, provenance)
@@ -309,8 +264,7 @@ def cmd_train_overfill(args, cfg: dict) -> int:
     run_dir = Path(args.out)
     full_w = _load_model(run_dir, "base")
     pruned_w = _load_model(run_dir, "pruned_init")
-    return _train(args, cfg, full_w, pruned_w, "overfill",
-                  args.steps or cfg["train"]["overfill_steps"], cfg["seed"] + 2)
+    return _train(args, cfg, full_w, pruned_w, "overfill", "overfill_steps", cfg["seed"] + 2)
 
 
 def _decode_weights_for_mode(run_dir: Path, mode: str):
@@ -326,9 +280,6 @@ def _decode_weights_for_mode(run_dir: Path, mode: str):
 
 
 def cmd_generate(args, cfg: dict) -> int:
-    from .corpus import ChatExample, Tokenizer, format_chat
-    from .engine import GenParams, generate
-
     tok = Tokenizer()
     prefill_w, decode_w = _decode_weights_for_mode(Path(args.out), args.mode)
     ids, m = format_chat(ChatExample(args.system, args.prompt, "", "copy"), tok)
@@ -341,9 +292,6 @@ def cmd_generate(args, cfg: dict) -> int:
 
 
 def cmd_eval(args, cfg: dict) -> int:
-    from .corpus import Tokenizer, load_dataset
-    from .engine import evaluate_exact_match
-
     run_dir = Path(args.out)
     tok = Tokenizer()
     prefill_w, decode_w = _decode_weights_for_mode(run_dir, args.mode)
@@ -363,10 +311,7 @@ def cmd_eval(args, cfg: dict) -> int:
 
 def cmd_param_count(args, cfg_unused) -> int:
     """Parameter count of a model config file or of a run config's model."""
-    from .model import ModelConfig
-    from .perfmodel import param_count
-
-    doc = _read_json(args.config)
+    doc = read_json_object(args.config, "config")
     if "model" in doc and "vocab_size" not in doc:
         doc = load_run_config(args.config)["model"]
     print(param_count(ModelConfig.from_dict(doc)))
@@ -374,12 +319,6 @@ def cmd_param_count(args, cfg_unused) -> int:
 
 
 def cmd_bench(args, cfg: dict) -> int:
-    import numpy as np
-
-    from .model import init_model
-    from .perfmodel import bench_wallclock, write_cost_csv
-    from .pruner import ImportanceScores, select_and_slice
-
     run_dir = Path(args.out)
     b = cfg["bench"]
     full_w = init_model(_model_config(cfg), cfg["seed"])
@@ -403,11 +342,6 @@ def cmd_bench(args, cfg: dict) -> int:
 
 
 def cmd_roofline(args, cfg: dict) -> int:
-    from .checkpoint import load_config
-    from .perfmodel import (HardwareSpec, REFERENCE_GEOMETRIES, reference_geometry,
-                            roofline_estimate, write_cost_csv)
-    from .pruner import compute_pruned_dims
-
     run_dir = Path(args.out)
     b = cfg["bench"]
     hw = HardwareSpec(**b["hardware"]).validate()
@@ -485,10 +419,6 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("OVERFILL_THREADS", "1")
-    for var in _THREAD_ENV_VARS:
-        os.environ.setdefault(var, threads)
-
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -497,8 +427,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-
-    from .errors import ConfigError, DataError
 
     try:
         if args.subcommand == "param-count":

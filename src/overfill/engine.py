@@ -17,6 +17,20 @@ from .errors import ConfigError, DataError
 from .model import KVCache, Weights, check_handoff, decode_step, forward_prefill
 
 
+MODES = ("full", "pruned", "overfill")
+
+
+def _pick(full, pruned, mode: str):
+    """(prefill, decode) member of a (full, pruned) pair of configs or weights."""
+    if mode == "full":
+        return full, full
+    if mode == "pruned":
+        return pruned, pruned
+    if mode == "overfill":
+        return full, pruned
+    raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
+
+
 @dataclass(frozen=True)
 class GenParams:
     max_new_tokens: int
@@ -53,25 +67,22 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def generate(prefill_w: Weights, decode_w: Weights, prompt: Sequence[int],
-             params: GenParams) -> tuple[list[int], KVCache]:
-    """Prefill all but the last prompt token with prefill_w, then decode with
-    decode_w over the same cache, starting from the last prompt token.
-
-    Returns the emitted tokens (ending at the stop token if one is emitted)
-    and the cache: rows below len(prompt) - 1 hold prefill_w's keys and
-    values, the rest decode_w's. Deterministic given the params seed.
-    """
-    params.validate()
-    prompt = list(prompt)
+def prefill(prefill_w: Weights, decode_w: Weights, prompt: Sequence[int]) -> KVCache:
+    """Run prefill_w over all but the last prompt token into a fresh cache
+    that decode_w can continue."""
     if len(prompt) < 2:
         raise DataError(f"prompt must have at least 2 tokens, got {len(prompt)}")
     check_handoff(prefill_w.config, decode_w.config)
-
-    rng = make_rng(params.seed)
     cache = KVCache.for_config(prefill_w.config, dtype=prefill_w.token_embedding.dtype)
     forward_prefill(prefill_w, prompt[:-1], cache)
-    logits, _ = decode_step(decode_w, prompt[-1], cache, cache.filled_len)
+    return cache
+
+
+def decode(decode_w: Weights, cache: KVCache, token: int, params: GenParams) -> list[int]:
+    """Feed token (the last prompt token) to decode_w, then sample up to
+    max_new_tokens, ending at the stop token if one is emitted."""
+    rng = make_rng(params.seed)
+    logits, _ = decode_step(decode_w, token, cache, cache.filled_len)
     emitted: list[int] = []
     for _ in range(params.max_new_tokens):
         tok = sample(logits, params.temperature, rng)
@@ -79,7 +90,20 @@ def generate(prefill_w: Weights, decode_w: Weights, prompt: Sequence[int],
         if tok == params.stop_token or len(emitted) == params.max_new_tokens:
             break
         logits, _ = decode_step(decode_w, tok, cache, cache.filled_len)
-    return emitted, cache
+    return emitted
+
+
+def generate(prefill_w: Weights, decode_w: Weights, prompt: Sequence[int],
+             params: GenParams) -> tuple[list[int], KVCache]:
+    """prefill with prefill_w, then decode with decode_w over the same cache.
+
+    Returns the emitted tokens and the cache: rows below len(prompt) - 1
+    hold prefill_w's keys and values, the rest decode_w's. Deterministic
+    given the params seed.
+    """
+    params.validate()
+    cache = prefill(prefill_w, decode_w, prompt)
+    return decode(decode_w, cache, prompt[-1], params), cache
 
 
 def overfill_generate(full_w: Weights, pruned_w: Weights, prompt: Sequence[int],

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass
 from importlib import resources
@@ -18,10 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .engine import MODES, GenParams, _pick, decode, prefill
 from .errors import ConfigError, DataError
-from .model import KVCache, ModelConfig, Weights, cache_shape, forward_prefill, decode_step
-
-MODES = ("full", "pruned", "overfill")
+from .model import ModelConfig, Weights, cache_shape, tensor_shape, tensor_table
 
 
 @dataclass(frozen=True)
@@ -55,26 +55,9 @@ class CostReport:
 
 
 def param_count(cfg: ModelConfig) -> int:
-    """Learnable scalars for a config: embeddings (once when tied), per-layer
-    attention projections with GQA geometry, the gated FFN, and the norms."""
+    """Learnable scalars of a model of this config: the sizes of its tensor table."""
     cfg.validate()
-    d, da, dkv, i = cfg.hidden_dim, cfg.attn_dim, cfg.kv_dim, cfg.intermediate_dim
-    per_layer = (d * da + 2 * d * dkv + da * d) + 3 * d * i + 2 * d
-    total = cfg.vocab_size * d + cfg.n_layers * per_layer + d
-    if not cfg.tied_embeddings:
-        total += d * cfg.vocab_size
-    return total
-
-
-def _pick(full, pruned, mode: str):
-    """(prefill, decode) member of a (full, pruned) pair of configs or weights."""
-    if mode == "full":
-        return full, full
-    if mode == "pruned":
-        return pruned, pruned
-    if mode == "overfill":
-        return full, pruned
-    raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
+    return sum(math.prod(tensor_shape(cfg, axes)) for _, axes in tensor_table(cfg))
 
 
 def roofline_estimate(hw: HardwareSpec, full_cfg: ModelConfig,
@@ -121,7 +104,7 @@ def roofline_estimate(hw: HardwareSpec, full_cfg: ModelConfig,
 def bench_wallclock(full_w: Weights, pruned_w: Weights, prompt_len: int,
                     gen_len: int, batch: int, mode: str, repeats: int = 10,
                     warmups: int = 2, seed: int = 0) -> CostReport:
-    """Measure this implementation's prefill and decode phases separately.
+    """Time engine.prefill and engine.decode separately.
 
     Every mode prefills prompt_len - 1 tokens and then runs gen_len decode
     steps starting from the final prompt token, greedy-fed. Reported times
@@ -134,18 +117,16 @@ def bench_wallclock(full_w: Weights, pruned_w: Weights, prompt_len: int,
         raise ConfigError("repeats must be positive and warmups >= 0")
     if batch != 1:
         raise ConfigError(f"bench_wallclock measures batch 1 only, got batch {batch}")
+    if gen_len < 1:
+        raise ConfigError(f"bench_wallclock needs gen_len >= 1, got {gen_len}")
     rng = np.random.default_rng(seed)
     prompt = rng.integers(0, prefill_w.config.vocab_size, size=prompt_len, dtype=np.int64)
 
     def one_run():
         t0 = time.perf_counter()
-        cache = KVCache.for_config(prefill_w.config, dtype=prefill_w.token_embedding.dtype)
-        forward_prefill(prefill_w, prompt[:-1], cache)
+        cache = prefill(prefill_w, decode_w, prompt)
         t1 = time.perf_counter()
-        tok = int(prompt[-1])
-        for _ in range(gen_len):
-            logits, _ = decode_step(decode_w, tok, cache, cache.filled_len)
-            tok = int(np.argmax(logits.numpy()))
+        decode(decode_w, cache, int(prompt[-1]), GenParams(max_new_tokens=gen_len))
         t2 = time.perf_counter()
         return t1 - t0, t2 - t1
 

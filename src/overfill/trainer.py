@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tensor as tk
 from .corpus import ChatExample, Tokenizer, format_chat
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .model import KVCache, Weights, check_handoff, lm_logits, run_block
 from .tensor import GradTape, Tensor, grad_of
 
@@ -216,6 +216,8 @@ def run_training(prefill_w: Optional[Weights], w: Weights,
                  ) -> list[TrainLogRow]:
     """Train w for a fixed number of steps over reshuffled batches, behind a
     frozen prefill model when one is given (see train_step)."""
+    if steps < 1 or batch_size < 1:
+        raise ConfigError(f"steps and batch_size must be >= 1, got {steps} and {batch_size}")
     if prefill_w is not None:
         prefill_w.freeze()
     w.set_requires_grad(True)

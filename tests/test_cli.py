@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,14 +34,6 @@ PIPELINE_ARTEFACTS = (
      "eval_full.json", "eval_pruned.json", "eval_overfill.json"]
     + [f"checkpoints/{stem}.{ext}" for stem in ("base", "pruned_init", "pruned", "overfill")
        for ext in ("ovfl", "config.json")])
-
-
-@pytest.fixture(autouse=True)
-def pinned_threads(monkeypatch):
-    # main() caps BLAS threads with setdefault; pin the variables so the
-    # test leaves the process environment as it found it.
-    for var in cli._THREAD_ENV_VARS:
-        monkeypatch.setenv(var, "1")
 
 
 @pytest.fixture
@@ -192,3 +188,51 @@ def test_prompt_token_outside_the_model_vocabulary_exits_2(tmp_path, capsys):
     code = run_cli(tmp_path, "generate", "--prompt", "hi")
     err = capsys.readouterr().err
     assert code == 2 and "out of range" in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread cap, param-count input, training counts
+# ---------------------------------------------------------------------------
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, expected", [
+    ({}, ["1", "1", "1", "1"]),
+    ({"OVERFILL_THREADS": "3"}, ["3", "3", "3", "3"]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1", "1"]),
+])
+def test_thread_cap_is_set_before_numpy_loads(preset, expected):
+    # A fresh interpreter: in this one numpy is loaded already.
+    env = {k: v for k, v in os.environ.items()
+           if k not in BLAS_VARS and k != "OVERFILL_THREADS"}
+    env.update(preset, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = ("import json, os, sys; assert 'numpy' not in sys.modules; import overfill.cli; "
+            f"print(json.dumps([os.environ[v] for v in {BLAS_VARS!r}]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert json.loads(out) == expected
+
+
+@pytest.mark.parametrize("text", ["5", "[1, 2]"])
+def test_param_count_on_a_json_file_that_is_not_an_object_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    code = cli.main(["param-count", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2 and "expected an object" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("train, args", [({"base_steps": 0}, ()),
+                                         ({}, ("--steps", "-3")),
+                                         ({}, ("--steps", "0")),
+                                         ({"batch_size": 0}, ())])
+def test_training_counts_below_one_exit_2(tmp_path, capsys, train, args):
+    run = {**TINY_RUN, "train": {**TINY_RUN["train"], **train}}
+    (tmp_path / "run.json").write_text(json.dumps(run))
+    assert run_cli(tmp_path, "gen-data") == 0
+    code = run_cli(tmp_path, "train-base", *args)
+    err = capsys.readouterr().err
+    assert code == 2 and "must be >= 1" in err and "Traceback" not in err
+    assert not (tmp_path / "checkpoints" / "base.ovfl").exists()

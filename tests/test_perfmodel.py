@@ -4,9 +4,9 @@ import dataclasses
 import pytest
 
 from overfill.errors import ConfigError
-from overfill.model import init_model
+from overfill.model import DESK_CONFIG, init_model
 from overfill.perfmodel import (CostReport, HardwareSpec, bench_wallclock, param_count,
-                                roofline_estimate, write_cost_csv)
+                                reference_geometry, roofline_estimate, write_cost_csv)
 
 from helpers import TINY_CONFIG
 
@@ -24,6 +24,26 @@ def test_bench_wallclock_measures_batch_one_only():
     report = bench_wallclock(w, w, prompt_len=4, gen_len=2, batch=1, mode="overfill",
                              repeats=2, warmups=0)
     assert report.batch == 1 and report.prefill_s > 0 and report.decode_s > 0
+
+
+def test_bench_wallclock_needs_a_decode_step():
+    # engine.decode always runs the last prompt token through the decoder.
+    w = init_model(TINY_CONFIG, seed=0)
+    with pytest.raises(ConfigError, match="gen_len"):
+        bench_wallclock(w, w, prompt_len=4, gen_len=0, batch=1, mode="full",
+                        repeats=1, warmups=0)
+
+
+@pytest.mark.parametrize("cfg, count", [
+    (DESK_CONFIG, 262_976),
+    (dataclasses.replace(DESK_CONFIG, hidden_dim=32, intermediate_dim=128), 82_336),  # p = 0.5
+    # The published parameter counts of these Llama models.
+    (reference_geometry("llama32_1b"), 1_235_814_400),
+    (reference_geometry("llama32_3b"), 3_212_749_824),
+    (reference_geometry("llama31_8b"), 8_030_261_248),
+])
+def test_param_count_known_values(cfg, count):
+    assert param_count(cfg) == count
 
 
 @pytest.mark.parametrize("mode, pre, dec", [("full", TINY_CONFIG, TINY_CONFIG),
