@@ -87,12 +87,17 @@ def read_checkpoint_tensors(path: PathLike) -> dict[str, np.ndarray]:
         raise DataError(f"truncated checkpoint {path}: header runs past the end of the file")
     try:
         header = json.loads(raw[header_start: header_start + header_len].tobytes())
-        entries = [(name, meta["dtype"], tuple(int(n) for n in meta["shape"]),
-                    int(meta["byte_offset"])) for name, meta in header.items()]
+        entries = [(name, meta["dtype"], meta["shape"], meta["byte_offset"])
+                   for name, meta in header.items()]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"corrupt checkpoint header in {path}: {exc!r}") from exc
     tensors = {}
     for name, dtype, shape, off in entries:
+        # bool is a subclass of int, but true/false is not a size here.
+        if (not isinstance(shape, list) or type(off) is not int
+                or any(type(n) is not int for n in shape)):
+            raise DataError(f"corrupt checkpoint header in {path}: {name} needs a list "
+                            f"of ints as shape and an int byte_offset")
         if dtype != "f32":
             raise DataError(f"unsupported dtype {dtype!r} for {name}")
         if off % ALIGN != 0:

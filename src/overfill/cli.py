@@ -1,6 +1,6 @@
 """Single executable driving the pipeline: data generation, base training,
-calibration, pruning, two-model training, generation, evaluation, and
-benchmarking.
+calibration, pruning, two-model training, generation, evaluation, and the
+roofline cost model.
 
 Exit codes: 0 success, 1 usage error, 2 data or format error.
 """
@@ -13,6 +13,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -23,8 +24,8 @@ from .corpus import (ChatExample, Tokenizer, format_chat, gen_tasks, load_datase
 from .engine import MODES, GenParams, evaluate_exact_match, generate
 from .errors import ConfigError, DataError
 from .model import DESK_CONFIG, ModelConfig, init_model
-from .perfmodel import (REFERENCE_GEOMETRIES, HardwareSpec, bench_wallclock, param_count,
-                        reference_geometry, roofline_estimate, write_cost_csv)
+from .perfmodel import (REFERENCE_GEOMETRIES, HardwareSpec, param_count, reference_geometry,
+                        roofline_estimate, write_cost_csv)
 from .pruner import (ImportanceScores, PruneConfig, collect_activations, compute_pruned_dims,
                      score_channels, select_and_slice)
 from .trainer import run_training, write_training_log
@@ -84,8 +85,6 @@ RUN_SCHEMA = {
         "prompt_len": (int, 64),
         "gen_lens": (list, [32, 64, 128]),
         "batch": (int, 1),
-        "repeats": (int, 5),
-        "warmups": (int, 2),
         "hardware": _section(HardwareSpec()),
         "roofline_full_geometry": ((str, type(None)), None),
         "roofline_pruned_geometry": ((str, type(None)), None),
@@ -121,9 +120,20 @@ def _validate_section(schema: dict, doc, pointer: str, errors: list) -> dict:
     return out
 
 
-def load_run_config(path: str) -> dict:
+def load_run_config(path: str, seed: Optional[int] = None) -> dict:
+    """The run config with defaults filled in; `seed`, when given, replaces
+    the file's. Values are range-checked once their types are right."""
     errors: list[str] = []
     cfg = _validate_section(RUN_SCHEMA, read_json_object(path, "run config"), "", errors)
+    if seed is not None:
+        cfg["seed"] = seed
+    if not errors:
+        if cfg["seed"] < 0:
+            errors.append(f"/seed: expected >= 0, got {cfg['seed']}")
+        try:
+            GenParams(**cfg["gen"]).validate()
+        except ConfigError as exc:
+            errors.append(f"/gen: {exc}")
     if errors:
         raise DataError("invalid run config: " + "; ".join(errors))
     return cfg
@@ -318,29 +328,6 @@ def cmd_param_count(args, cfg_unused) -> int:
     return 0
 
 
-def cmd_bench(args, cfg: dict) -> int:
-    run_dir = Path(args.out)
-    b = cfg["bench"]
-    full_w = init_model(_model_config(cfg), cfg["seed"])
-    # Equal scores select the lowest channel indices: a prefix slice.
-    mcfg = full_w.config
-    flat = ImportanceScores(np.zeros(mcfg.hidden_dim),
-                            [np.zeros(mcfg.intermediate_dim)] * mcfg.n_layers)
-    pruned_w, _, _ = select_and_slice(full_w, flat, _prune_config(cfg))
-
-    reports = []
-    for mode in MODES:
-        for n in b["gen_lens"]:
-            reports.append(bench_wallclock(full_w, pruned_w, b["prompt_len"], n,
-                                           b["batch"], mode, repeats=b["repeats"],
-                                           warmups=b["warmups"], seed=cfg["seed"]))
-            r = reports[-1]
-            print(f"bench {mode}: M={r.prompt_len} N={r.gen_len} "
-                  f"prefill {r.prefill_s * 1e3:.1f}ms decode {r.decode_s * 1e3:.1f}ms")
-    write_cost_csv(run_dir / "bench.csv", reports)
-    return 0
-
-
 def cmd_roofline(args, cfg: dict) -> int:
     run_dir = Path(args.out)
     b = cfg["bench"]
@@ -413,7 +400,6 @@ COMMANDS = {
     "generate": cmd_generate,
     "eval": cmd_eval,
     "param-count": cmd_param_count,
-    "bench": cmd_bench,
     "roofline": cmd_roofline,
 }
 
@@ -432,9 +418,7 @@ def main(argv=None) -> int:
         if args.subcommand == "param-count":
             cfg = None
         else:
-            cfg = load_run_config(args.config)
-            if args.seed is not None:
-                cfg["seed"] = args.seed
+            cfg = load_run_config(args.config, args.seed)
         return COMMANDS[args.subcommand](args, cfg)
     except (DataError, ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -175,10 +175,12 @@ def load_dataset(path) -> list[ChatExample]:
         header = f.readline()
         try:
             meta = json.loads(header)
-            if not {"kind", "seed", "count"} <= set(meta):
+            if not isinstance(meta, dict) or not {"kind", "seed", "count"} <= set(meta):
                 raise DataError(f"{path}: malformed dataset header: {header.strip()}")
             for line in f:
                 d = json.loads(line)
+                if not isinstance(d, dict):
+                    raise DataError(f"{path}: malformed dataset line: expected an object")
                 examples.append(ChatExample(d["system"], d["user"],
                                             d["assistant"], d["task_kind"]))
         except (json.JSONDecodeError, KeyError) as exc:

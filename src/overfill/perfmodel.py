@@ -1,4 +1,4 @@
-"""Parameter counting, analytic roofline latency, and wall-clock benchmarks.
+"""Parameter counting and analytic roofline latency.
 
 The roofline treats prefill as compute-bound (2 * params FLOPs per token,
 parallel over the prompt) and decode as the max of weight-reload time and
@@ -11,17 +11,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-import time
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
-from .engine import MODES, GenParams, _pick, decode, prefill
+from .engine import _pick
 from .errors import ConfigError, DataError
-from .model import ModelConfig, Weights, cache_shape, tensor_shape, tensor_table
+from .model import ModelConfig, cache_shape, tensor_shape, tensor_table
 
 
 @dataclass(frozen=True)
@@ -46,8 +43,6 @@ class CostReport:
     decode_s: float
     prefill_params: int
     decode_params: int
-    prefill_sd: float = 0.0
-    decode_sd: float = 0.0
 
     @property
     def total_s(self) -> float:
@@ -101,52 +96,11 @@ def roofline_estimate(hw: HardwareSpec, full_cfg: ModelConfig,
                       p_pre, p_dec)
 
 
-def bench_wallclock(full_w: Weights, pruned_w: Weights, prompt_len: int,
-                    gen_len: int, batch: int, mode: str, repeats: int = 10,
-                    warmups: int = 2, seed: int = 0) -> CostReport:
-    """Time engine.prefill and engine.decode separately.
-
-    Every mode prefills prompt_len - 1 tokens and then runs gen_len decode
-    steps starting from the final prompt token, greedy-fed. Reported times
-    are means over `repeats` timed runs after `warmups` untimed ones. Only
-    batch 1 is measured: the forward runs one sequence at a time, so a
-    larger batch would reload the weights per row, unlike roofline_estimate.
-    """
-    prefill_w, decode_w = _pick(full_w, pruned_w, mode)
-    if repeats <= 0 or warmups < 0:
-        raise ConfigError("repeats must be positive and warmups >= 0")
-    if batch != 1:
-        raise ConfigError(f"bench_wallclock measures batch 1 only, got batch {batch}")
-    if gen_len < 1:
-        raise ConfigError(f"bench_wallclock needs gen_len >= 1, got {gen_len}")
-    rng = np.random.default_rng(seed)
-    prompt = rng.integers(0, prefill_w.config.vocab_size, size=prompt_len, dtype=np.int64)
-
-    def one_run():
-        t0 = time.perf_counter()
-        cache = prefill(prefill_w, decode_w, prompt)
-        t1 = time.perf_counter()
-        decode(decode_w, cache, int(prompt[-1]), GenParams(max_new_tokens=gen_len))
-        t2 = time.perf_counter()
-        return t1 - t0, t2 - t1
-
-    for _ in range(warmups):
-        one_run()
-    times = np.array([one_run() for _ in range(repeats)])
-    return CostReport(mode, prompt_len, gen_len, batch,
-                      float(times[:, 0].mean()), float(times[:, 1].mean()),
-                      param_count(prefill_w.config), param_count(decode_w.config),
-                      prefill_sd=float(times[:, 0].std()),
-                      decode_sd=float(times[:, 1].std()))
-
-
-CSV_HEADER = ["mode", "M", "N", "batch", "prefill_s", "decode_s", "total_s", "params",
-              "prefill_sd", "decode_sd"]
+CSV_HEADER = ["mode", "M", "N", "batch", "prefill_s", "decode_s", "total_s", "params"]
 
 
 def write_cost_csv(path, reports: Sequence[CostReport]) -> None:
-    """One row per sweep point; params is the decode-model parameter count,
-    and the *_sd columns the spread over measured repeats (0 for estimates)."""
+    """One row per sweep point; params is the decode-model parameter count."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as f:
@@ -155,8 +109,7 @@ def write_cost_csv(path, reports: Sequence[CostReport]) -> None:
         for r in reports:
             writer.writerow([r.mode, r.prompt_len, r.gen_len, r.batch,
                              f"{r.prefill_s:.8g}", f"{r.decode_s:.8g}",
-                             f"{r.total_s:.8g}", r.decode_params,
-                             f"{r.prefill_sd:.8g}", f"{r.decode_sd:.8g}"])
+                             f"{r.total_s:.8g}", r.decode_params])
 
 
 def reference_geometry(name: str) -> ModelConfig:

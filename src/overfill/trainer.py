@@ -87,6 +87,7 @@ class OptState:
     warmup_ratio: float
     total_steps: int
     step: int = 0
+    lr: float = 0.0  # learning rate of the last update
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
 
@@ -100,8 +101,9 @@ class OptState:
         return opt
 
 
-def lr_schedule(step: int, opt: OptState) -> float:
-    """Linear warmup over warmup_ratio * total_steps, then cosine decay to 0."""
+def lr_schedule(step: float, opt: OptState) -> float:
+    """Linear warmup over warmup_ratio * total_steps, then cosine decay to 0
+    at total_steps. A step may be fractional."""
     if step > opt.total_steps:
         raise ValueError(f"step {step} beyond total_steps {opt.total_steps}")
     warmup = opt.warmup_ratio * opt.total_steps
@@ -112,11 +114,12 @@ def lr_schedule(step: int, opt: OptState) -> float:
     return opt.base_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def _adam_update(tensors: Sequence[Tensor], grads: dict, opt: OptState) -> None:
+def _adam_update(tensors: Sequence[Tensor], grads: dict, opt: OptState) -> float:
+    """One Adam update; returns the learning rate it applied."""
     opt.step += 1
-    # The schedule is evaluated at the 1-based step so the first update is
-    # taken at a nonzero learning rate.
-    lr = lr_schedule(min(opt.step, opt.total_steps), opt)
+    # The schedule is evaluated at the middle of the 1-based step, so the
+    # first update and the last are both taken at a nonzero learning rate.
+    lr = lr_schedule(min(opt.step, opt.total_steps) - 0.5, opt)
     bc1 = 1.0 - ADAM_BETA1 ** opt.step
     bc2 = 1.0 - ADAM_BETA2 ** opt.step
     for i, p in enumerate(tensors):
@@ -127,6 +130,7 @@ def _adam_update(tensors: Sequence[Tensor], grads: dict, opt: OptState) -> None:
         v_hat = opt.v[i] / bc2
         update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         p.data = p.data - (lr * update).astype(p.data.dtype)
+    return lr
 
 
 def _batch_loss_rows(prefill_w: Optional[Weights], decode_w: Weights,
@@ -177,7 +181,7 @@ def train_step(prefill_w: Optional[Weights], w: Weights, batch: TrainBatch,
         loss = _batch_loss_rows(prefill_w, w, batch)
     params = w.tensors()
     grads = grad_of(loss, tape, params)
-    _adam_update(params, grads, opt)
+    opt.lr = _adam_update(params, grads, opt)
     return w, opt, loss.item()
 
 
@@ -232,8 +236,7 @@ def run_training(prefill_w: Optional[Weights], w: Weights,
         batch = build_batch([examples[i] for i in idx], tok, max_seq_len)
         _, _, loss = train_step(prefill_w, w, batch, opt)
         tokens_seen += int(batch.row_lengths.sum())
-        rows.append(TrainLogRow(step, lr_schedule(min(opt.step, opt.total_steps), opt),
-                                loss, tokens_seen))
+        rows.append(TrainLogRow(step, opt.lr, loss, tokens_seen))
         if checkpoint_every and checkpoint_fn and step % checkpoint_every == 0:
             checkpoint_fn(step)
     return rows

@@ -115,6 +115,31 @@ def test_truncated_checkpoint_rejected(tmp_path, cut):
         load_checkpoint(path, TINY_CONFIG)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("shape", lambda s: [str(n) for n in s]),
+    ("shape", lambda s: [float(n) for n in s]),
+    ("shape", lambda s: [True] * len(s)),
+    ("shape", lambda s: ",".join(map(str, s))),
+    ("byte_offset", lambda off: off + 0.9),
+    ("byte_offset", str),
+    ("byte_offset", lambda off: True),
+], ids=["shape-str", "shape-float", "shape-bool", "shape-not-a-list",
+        "offset-float", "offset-str", "offset-bool"])
+def test_header_fields_of_the_wrong_json_type_rejected(tmp_path, field, value):
+    path = tmp_path / "m.ovfl"
+    save_checkpoint(path, init_model(TINY_CONFIG, seed=0))
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 5)
+    header = json.loads(raw[9: 9 + header_len])
+    meta = header["layers.0.w_q"]
+    meta[field] = value(meta[field])
+    # Only the header is read before the check, so the blobs may move.
+    new = json.dumps(header).encode()
+    path.write_bytes(MAGIC + struct.pack("<I", len(new)) + new + raw[9 + header_len:])
+    with pytest.raises(DataError, match="corrupt checkpoint header.*layers.0.w_q"):
+        load_checkpoint(path, TINY_CONFIG)
+
+
 def test_loaded_tensors_are_writable_views_of_one_buffer(tmp_path):
     path = tmp_path / "m.ovfl"
     save_checkpoint(path, init_model(TINY_CONFIG, seed=0))

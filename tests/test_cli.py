@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -8,10 +9,10 @@ from pathlib import Path
 import pytest
 
 from overfill import cli
-from overfill.checkpoint import save_checkpoint, save_config
+from overfill.checkpoint import load_config, save_checkpoint, save_config
 from overfill.errors import DataError
 from overfill.model import DESK_CONFIG, init_model
-from overfill.perfmodel import HardwareSpec
+from overfill.perfmodel import HardwareSpec, param_count, reference_geometry
 from overfill.pruner import PruneConfig
 
 # A geometry small enough that the whole pipeline runs in-process in seconds.
@@ -145,11 +146,23 @@ def test_run_config_accepts_ints_for_floats_and_none_where_optional(tmp_path):
     ({"seed": True}, "/seed: expected int, got bool"),
     ({"model": []}, "/model: expected an object"),
     ([], "/: expected an object"),
+    ({"bench": {"repeats": 5}}, "/bench/repeats: unknown key"),
+    ({"bench": {"warmups": 2}}, "/bench/warmups: unknown key"),
+    ({"seed": -1}, "/seed: expected >= 0, got -1"),
+    ({"gen": {"max_new_tokens": -1}}, "/gen: max_new_tokens must be >= 0, got -1"),
+    ({"gen": {"temperature": -0.5}}, "/gen: temperature must be >= 0, got -0.5"),
 ])
 def test_run_config_errors_name_the_json_pointer(tmp_path, doc, message):
     with pytest.raises(DataError) as info:
         load(tmp_path, doc)
     assert str(info.value) == "invalid run config: " + message
+
+
+def test_seed_override_is_range_checked(tmp_path):
+    (tmp_path / "run.json").write_text(json.dumps({"seed": -1}))
+    assert cli.load_run_config(str(tmp_path / "run.json"), seed=2)["seed"] == 2
+    with pytest.raises(DataError, match="/seed: expected >= 0, got -5"):
+        cli.load_run_config(str(tmp_path / "run.json"), seed=-5)
 
 
 def test_run_config_reports_every_error(tmp_path):
@@ -176,6 +189,38 @@ def test_bad_generation_params_exit_2(run_dir, capsys, gen, message):
     code = run_cli(run_dir, "generate", "--mode", "overfill", "--prompt", "hi")
     err = capsys.readouterr().err
     assert code == 2 and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("subcommand", [c for c in cli.COMMANDS if c != "param-count"])
+@pytest.mark.parametrize("doc, args, message", [
+    ({"seed": -1}, (), "/seed: expected >= 0, got -1"),
+    ({}, ("--seed", "-1"), "/seed: expected >= 0, got -1"),
+    ({"gen": {"max_new_tokens": -1}}, (), "/gen: max_new_tokens must be >= 0"),
+], ids=["seed", "seed-flag", "max-new-tokens"])
+def test_out_of_range_run_config_exits_2(run_dir, capsys, subcommand, doc, args, message):
+    (run_dir / "run.json").write_text(json.dumps(doc))
+    extra = ("--prompt", "hi") if subcommand == "generate" else ()
+    code = run_cli(run_dir, subcommand, *args, *extra)
+    err = capsys.readouterr().err
+    assert code == 2 and message in err and "Traceback" not in err
+    assert not (run_dir / "data").exists()
+
+
+def test_bench_is_not_a_subcommand(run_dir, capsys):
+    assert run_cli(run_dir, "bench") == 1
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines", [
+    ["5"],
+    [json.dumps({"kind": "copy", "seed": 0, "count": 1}), "[1, 2]"],
+], ids=["header", "example"])
+def test_dataset_line_that_is_not_an_object_exits_2(run_dir, capsys, lines):
+    (run_dir / "data").mkdir()
+    (run_dir / "data" / "eval_copy.jsonl").write_text("\n".join(lines) + "\n")
+    code = run_cli(run_dir, "eval", "--kind", "copy")
+    err = capsys.readouterr().err
+    assert code == 2 and "malformed dataset" in err and "Traceback" not in err
 
 
 def test_prompt_token_outside_the_model_vocabulary_exits_2(tmp_path, capsys):
@@ -236,3 +281,60 @@ def test_training_counts_below_one_exit_2(tmp_path, capsys, train, args):
     err = capsys.readouterr().err
     assert code == 2 and "must be >= 1" in err and "Traceback" not in err
     assert not (tmp_path / "checkpoints" / "base.ovfl").exists()
+
+
+# ---------------------------------------------------------------------------
+# training steps, roofline
+# ---------------------------------------------------------------------------
+
+def test_one_training_step_moves_the_weights(tmp_path):
+    (tmp_path / "run.json").write_text(json.dumps(TINY_RUN))
+    assert run_cli(tmp_path, "gen-data") == 0
+    assert run_cli(tmp_path, "train-base", "--steps", "1") == 0
+    ckpt = tmp_path / "checkpoints"
+    init = init_model(load_config(ckpt / "base.config.json"), TINY_RUN["seed"])
+    save_checkpoint(tmp_path / "init.ovfl", init)
+    assert (ckpt / "base.ovfl").read_bytes() != (tmp_path / "init.ovfl").read_bytes()
+
+
+def test_the_last_training_step_moves_the_weights(tmp_path):
+    run = {**TINY_RUN, "train": {**TINY_RUN["train"], "checkpoint_every": 2}}
+    (tmp_path / "run.json").write_text(json.dumps(run))
+    assert run_cli(tmp_path, "gen-data") == 0
+    assert run_cli(tmp_path, "train-base") == 0
+    ckpt = tmp_path / "checkpoints"
+    assert (ckpt / "base.ovfl").read_bytes() != (ckpt / "base_step2.ovfl").read_bytes()
+    log = list(csv.DictReader(open(tmp_path / "logs_base.csv", newline="")))
+    assert len(log) == 3 and all(float(row["lr"]) > 0 for row in log)
+
+
+TWO_LAYER = dataclasses.replace(DESK_CONFIG, n_layers=2)
+
+
+def _halved(cfg):
+    # The widths the default prune ratios (0.5, 0.5) keep.
+    return dataclasses.replace(cfg, hidden_dim=cfg.hidden_dim // 2,
+                               intermediate_dim=cfg.intermediate_dim // 2)
+
+
+@pytest.mark.parametrize("full_spec, pruned_spec, full, pruned", [
+    (None, None, DESK_CONFIG, _halved(DESK_CONFIG)),
+    ("llama32_3b", "llama32_1b", reference_geometry("llama32_3b"),
+     reference_geometry("llama32_1b")),
+    ("file", None, TWO_LAYER, _halved(TWO_LAYER)),
+], ids=["derived", "reference", "config-file"])
+def test_roofline_writes_a_row_per_mode_and_length(tmp_path, full_spec, pruned_spec,
+                                                   full, pruned):
+    if full_spec == "file":
+        full_spec = str(tmp_path / "full.config.json")
+        save_config(full_spec, full)
+    bench = {"roofline_full_geometry": full_spec, "roofline_pruned_geometry": pruned_spec}
+    (tmp_path / "run.json").write_text(json.dumps({"bench": bench}))
+    assert run_cli(tmp_path, "roofline") == 0
+    rows = list(csv.reader(open(tmp_path / "roofline.csv", newline="")))
+    assert rows[0] == ["mode", "M", "N", "batch", "prefill_s", "decode_s", "total_s",
+                       "params"]
+    decoder = {"full": full, "pruned": pruned, "overfill": pruned}
+    assert [(r[0], r[2], r[7]) for r in rows[1:]] == [
+        (mode, str(n), str(param_count(decoder[mode])))
+        for mode in ("full", "pruned", "overfill") for n in (32, 64, 128)]

@@ -3,35 +3,14 @@ import dataclasses
 
 import pytest
 
-from overfill.errors import ConfigError
-from overfill.model import DESK_CONFIG, init_model
-from overfill.perfmodel import (CostReport, HardwareSpec, bench_wallclock, param_count,
-                                reference_geometry, roofline_estimate, write_cost_csv)
+from overfill.model import DESK_CONFIG
+from overfill.perfmodel import (CostReport, HardwareSpec, param_count, reference_geometry,
+                                roofline_estimate, write_cost_csv)
 
 from helpers import TINY_CONFIG
 
 PRUNED = dataclasses.replace(TINY_CONFIG, hidden_dim=4, intermediate_dim=6)
 HW = HardwareSpec(peak_flops=1e12, mem_bandwidth=1e11, bytes_per_param=4)
-
-
-def test_bench_wallclock_measures_batch_one_only():
-    # Rows would run one after another, each reloading the weights, while
-    # roofline_estimate charges one reload per step for the whole batch.
-    w = init_model(TINY_CONFIG, seed=0)
-    with pytest.raises(ConfigError, match="batch"):
-        bench_wallclock(w, w, prompt_len=4, gen_len=2, batch=2, mode="full",
-                        repeats=1, warmups=0)
-    report = bench_wallclock(w, w, prompt_len=4, gen_len=2, batch=1, mode="overfill",
-                             repeats=2, warmups=0)
-    assert report.batch == 1 and report.prefill_s > 0 and report.decode_s > 0
-
-
-def test_bench_wallclock_needs_a_decode_step():
-    # engine.decode always runs the last prompt token through the decoder.
-    w = init_model(TINY_CONFIG, seed=0)
-    with pytest.raises(ConfigError, match="gen_len"):
-        bench_wallclock(w, w, prompt_len=4, gen_len=0, batch=1, mode="full",
-                        repeats=1, warmups=0)
 
 
 @pytest.mark.parametrize("cfg, count", [
@@ -81,11 +60,10 @@ def test_roofline_decode_turns_compute_bound_with_batch():
     assert roofline_estimate(HW, TINY_CONFIG, PRUNED, 16, 0, 1, "full").decode_s == 0.0
 
 
-def test_cost_csv_keeps_the_measured_spread(tmp_path):
-    path = tmp_path / "bench.csv"
-    write_cost_csv(path, [CostReport("overfill", 64, 32, 1, 0.5, 0.25, 100, 40,
-                                     prefill_sd=0.01, decode_sd=0.002)])
+def test_cost_csv_columns(tmp_path):
+    path = tmp_path / "roofline.csv"
+    write_cost_csv(path, [CostReport("overfill", 64, 32, 1, 0.5, 0.25, 100, 40)])
     rows = list(csv.DictReader(open(path, newline="")))
     assert rows == [{"mode": "overfill", "M": "64", "N": "32", "batch": "1",
                      "prefill_s": "0.5", "decode_s": "0.25", "total_s": "0.75",
-                     "params": "40", "prefill_sd": "0.01", "decode_sd": "0.002"}]
+                     "params": "40"}]

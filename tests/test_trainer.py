@@ -173,6 +173,16 @@ def test_lr_schedule_endpoints():
     assert lr_schedule(505, opt) < 2e-5
 
 
+def test_every_update_takes_a_nonzero_step_size():
+    # The schedule is read at the middle of each step, so even the last
+    # update of a run moves the weights.
+    rows = run_training(
+        None, init_model(desk_small(), seed=2), tiny_examples(8), TOK, steps=3,
+        batch_size=2, max_seq_len=96, base_lr=1e-3, warmup_ratio=0.01, data_seed=0)
+    lrs = [r.lr for r in rows]
+    assert all(lr > 0 for lr in lrs) and lrs == sorted(lrs, reverse=True)
+
+
 def test_lr_schedule_rejects_overrun():
     opt = OptState(base_lr=1e-3, warmup_ratio=0.0, total_steps=10)
     with pytest.raises(ValueError):
