@@ -19,8 +19,8 @@ import numpy as np
 
 from .checkpoint import (load_checkpoint, load_config, read_json_object, save_checkpoint,
                          save_config)
-from .corpus import (ChatExample, Tokenizer, format_chat, gen_tasks, load_dataset,
-                     pack_calibration_batches, save_dataset)
+from .corpus import (TASK_KINDS, ChatExample, Tokenizer, format_chat, gen_tasks,
+                     load_dataset, pack_calibration_batches, save_dataset)
 from .engine import MODES, GenParams, evaluate_exact_match, generate
 from .errors import ConfigError, DataError
 from .model import DESK_CONFIG, ModelConfig, init_model
@@ -134,6 +134,23 @@ def load_run_config(path: str, seed: Optional[int] = None) -> dict:
             GenParams(**cfg["gen"]).validate()
         except ConfigError as exc:
             errors.append(f"/gen: {exc}")
+        # The step counts and batch_size are checked by run_training: --steps
+        # can replace a step count, and gen-data never reads them.
+        t = cfg["train"]
+        for key, ok, want in (("base_lr", t["base_lr"] > 0, "> 0"),
+                              ("warmup_ratio", 0 <= t["warmup_ratio"] < 1, "in [0, 1)"),
+                              ("max_seq_len", t["max_seq_len"] >= 2, ">= 2"),
+                              ("checkpoint_every", t["checkpoint_every"] >= 0, ">= 0"),
+                              ("train_per_kind", t["train_per_kind"] >= 1, ">= 1"),
+                              ("eval_per_kind", t["eval_per_kind"] >= 1, ">= 1")):
+            if not ok:
+                errors.append(f"/train/{key}: expected {want}, got {t[key]}")
+        if not all(k in TASK_KINDS for k in t["kinds"]):
+            errors.append(f"/train/kinds: expected names from {list(TASK_KINDS)}, "
+                          f"got {t['kinds']}")
+        lens = cfg["bench"]["gen_lens"]
+        if not all(type(n) is int and n > 0 for n in lens):
+            errors.append(f"/bench/gen_lens: expected positive ints, got {lens}")
     if errors:
         raise DataError("invalid run config: " + "; ".join(errors))
     return cfg

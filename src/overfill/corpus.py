@@ -30,8 +30,9 @@ ASST_TAG = b"<asst>"
 
 TASK_KINDS = ("copy", "reverse", "modadd", "kvlookup")
 
-# Difficulty knobs; chosen so the desk-scale full model can master the tasks
-# while a heavily width-pruned standalone model cannot.
+# Difficulty knobs. They aim at tasks the desk-scale full model can learn
+# and a heavily width-pruned standalone model cannot; at the default
+# training budget every mode still scores 0-1% exact match on every kind.
 _COPY_LEN = (6, 10)
 _REVERSE_LEN = (4, 7)
 _MODADD_MOD = 97

@@ -96,49 +96,62 @@ def check_handoff(prefill_cfg: ModelConfig, decode_cfg: ModelConfig) -> None:
 
 
 class KVCache:
-    """Per-layer key/value history, appended one block of positions at a time.
+    """Per-layer key/value history of one or more rows, each extended one
+    block of positions at a time.
 
     Shapes depend only on the attention geometry of the originating full
     model; entries written by full and pruned weights are interchangeable.
+    Each row has its own fill length; a serving cache has one row, and
+    filled_len, keys() and values() default to it.
     """
 
     def __init__(self, n_layers: int, n_kv_heads: int, head_dim: int,
-                 dtype=np.float32, capacity: int = 64):
+                 dtype=np.float32, capacity: int = 64, rows: int = 1):
         self.geometry = (n_layers, n_kv_heads, head_dim)
-        self.filled_len = 0
-        self._keys = [np.zeros((capacity, n_kv_heads, head_dim), dtype=dtype)
+        self.row_lens = [0] * rows
+        self._keys = [np.zeros((rows, capacity, n_kv_heads, head_dim), dtype=dtype)
                       for _ in range(n_layers)]
         self._values = [np.zeros_like(k) for k in self._keys]
 
     @classmethod
-    def for_config(cls, config: ModelConfig, dtype=np.float32) -> "KVCache":
-        return cls(*cache_shape(config), dtype=dtype)
+    def for_config(cls, config: ModelConfig, dtype=np.float32, rows: int = 1) -> "KVCache":
+        return cls(*cache_shape(config), dtype=dtype, rows=rows)
 
-    def keys(self, layer: int) -> np.ndarray:
-        return self._keys[layer][: self.filled_len]
+    @property
+    def filled_len(self) -> int:
+        return self.row_lens[0]
 
-    def values(self, layer: int) -> np.ndarray:
-        return self._values[layer][: self.filled_len]
+    def keys(self, layer: int, row: int = 0) -> np.ndarray:
+        return self._keys[layer][row, : self.row_lens[row]]
+
+    def values(self, layer: int, row: int = 0) -> np.ndarray:
+        return self._values[layer][row, : self.row_lens[row]]
+
+    def block_view(self, layer: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """Keys and values of every row at positions [0, width), as
+        [rows, width, n_kv_heads, head_dim] views into the cache."""
+        return self._keys[layer][:, :width], self._values[layer][:, :width]
 
     def _grow(self, need: int) -> None:
-        cap = self._keys[0].shape[0]
+        cap = self._keys[0].shape[1]
         if need <= cap:
             return
         # Twice what is needed, so a long prefill leaves room for the decode
         # steps that follow it instead of filling the buffers exactly.
         new_cap = 2 * max(need, cap)
+        filled = max(self.row_lens)
         for buf_list in (self._keys, self._values):
             for i, buf in enumerate(buf_list):
-                grown = np.zeros((new_cap,) + buf.shape[1:], dtype=buf.dtype)
-                grown[: self.filled_len] = buf[: self.filled_len]
+                grown = np.zeros((buf.shape[0], new_cap) + buf.shape[2:], dtype=buf.dtype)
+                grown[:, :filled] = buf[:, :filled]
                 buf_list[i] = grown
 
-    def append_block(self, t: int) -> int:
-        """Extend every layer by t positions and return the old length; the
-        caller fills rows [old length, filled_len) of keys() and values()."""
-        lo = self.filled_len
+    def append_block(self, t: int, row: int = 0) -> int:
+        """Extend one row of every layer by t positions and return its old
+        length; the caller fills positions [old length, new length)."""
+        lo = self.row_lens[row]
         self._grow(lo + t)
-        self.filled_len = lo + t
+        self.row_lens[row] = lo + t
         return lo
 
 
@@ -264,20 +277,51 @@ def init_model(config: ModelConfig, seed: int, dtype=np.float32) -> Weights:
     return Weights.build(config, draw)
 
 
-def _causal_mask(t: int, history: int, dtype) -> np.ndarray:
-    cols = np.arange(history + t)[None, :]
-    rows = np.arange(t)[:, None]
-    return np.where(cols <= history + rows, 0.0, tk.NEG_MASK).astype(dtype)
+def _row_layout(history: list[int], counts: list[int], dtype):
+    """Where a packed block of counts[b] tokens per row, appended after
+    history[b] cached positions, sits in its attention.
+
+    Returns (positions [N], key width S, additive mask, attend slots,
+    kv_at, kv_lead): cache_rows[kv_at], of shape kv_lead + (kv heads,
+    head dim), are the block's own K/V positions in packed order. When
+    every row has the same history and count, each block ends its row, the
+    rows share one [T, S] causal mask (None for T = 1) and attend needs no
+    slots. Otherwise the mask is [B, Tmax, S] and the slots are
+    (qslot, kv_at), qslot[n] being token n's flat index in the [B, Tmax]
+    query grid.
+    """
+    h, t, b = history[0], counts[0], len(counts)
+    if b == 1 or (history.count(h) == b and counts.count(t) == b):
+        width = h + t
+        positions = np.arange(h, width)
+        mask = None if t == 1 else np.where(np.arange(width) <= positions[:, None],
+                                             0.0, tk.NEG_MASK).astype(dtype)
+        if b > 1:
+            positions = np.tile(positions, b)
+        return positions, width, mask, None, (slice(None), slice(h, width)), (b, t)
+    width = max(h + c for h, c in zip(history, counts))
+    offs = np.arange(max(counts))
+    grid_pos = np.asarray(history)[:, None] + offs                  # [B, Tmax]
+    rows, cols = np.nonzero(offs < np.asarray(counts)[:, None])     # packed order
+    positions = grid_pos[rows, cols]
+    mask = np.where(np.arange(width) <= grid_pos[..., None], 0.0, tk.NEG_MASK).astype(dtype)
+    kv_at = (rows, positions)
+    return positions, width, mask, (rows * offs.size + cols, kv_at), kv_at, (rows.size,)
 
 
 def run_block(w: Weights, tokens: Sequence[int], cache: KVCache,
-              tap: Optional[TapFn] = None) -> Tensor:
-    """Causal forward over a block of tokens appended after the cache history.
+              tap: Optional[TapFn] = None,
+              row_lens: Optional[Sequence[int]] = None) -> Tensor:
+    """Causal forward over a packed block of tokens appended after the
+    history of each cache row.
 
-    Returns the post-final-norm hidden states [T, hidden_dim] and appends
-    exactly one K/V row per token per layer, written into the cache before
-    each layer attends over it. History entries already in the cache enter
-    attention as constants, so no gradient can flow into them.
+    tokens holds each row's block in turn, with no padding; row_lens[b] of
+    them go to cache row b (by default all of them go to row 0). Returns
+    the post-final-norm hidden states [N, hidden_dim] in the same packed
+    order and appends exactly one K/V position per token per layer to its
+    row, written into the cache before each layer attends over it. History
+    entries already in the cache enter attention as constants, so no
+    gradient can flow into them; a row never attends to another row.
     The optional tap observes (layer, point, activation) at the three
     channel-scoring points: "pre_attn", "pre_ffn", "ffn_inner".
     """
@@ -290,12 +334,20 @@ def run_block(w: Weights, tokens: Sequence[int], cache: KVCache,
         raise DataError("token block must be non-empty")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise DataError(f"token id out of range for vocab {cfg.vocab_size}")
+    n_rows = len(cache.row_lens)
+    counts = ([ids.size] + [0] * (n_rows - 1) if row_lens is None
+              else [int(c) for c in row_lens])
+    if len(counts) != n_rows or min(counts) < 0 or sum(counts) != ids.size:
+        raise DataError(f"row lengths {counts} do not split {ids.size} tokens "
+                        f"over {n_rows} cache rows")
 
-    t = ids.size
     dh = cfg.head_dim
-    history = cache.append_block(t)
-    positions = np.arange(history, history + t)
-    mask = _causal_mask(t, history, w.token_embedding.dtype) if t > 1 else None
+    history = list(cache.row_lens)
+    for b, c in enumerate(counts):
+        cache.append_block(c, b)
+    positions, width, mask, slots, kv_at, kv_lead = _row_layout(
+        history, counts, w.token_embedding.dtype)
+    kv_shape = kv_lead + (cfg.n_kv_heads, dh)
     try:
         x = tk.embedding(w.token_embedding, ids)
         for li, lw in enumerate(w.layers):
@@ -306,11 +358,11 @@ def run_block(w: Weights, tokens: Sequence[int], cache: KVCache,
             k = tk.rope_rows(tk.matmul(h, lw.w_k), positions, dh, cfg.rope_theta)
             v = tk.matmul(h, lw.w_v)
 
-            keys, values = cache.keys(li), cache.values(li)
-            keys[history:] = k.data.reshape(t, cfg.n_kv_heads, dh)
-            values[history:] = v.data.reshape(t, cfg.n_kv_heads, dh)
+            keys, values = cache.block_view(li, width)
+            keys[kv_at] = k.data.reshape(kv_shape)
+            values[kv_at] = v.data.reshape(kv_shape)
             mixed = tk.attend(q, k, v, keys, values, cfg.n_heads, cfg.n_kv_heads, dh,
-                              mask=mask)
+                              mask=mask, slots=slots)
             x = tk.add(x, tk.matmul(mixed, lw.w_o))
 
             hf = tk.rms_norm(x, lw.ffn_norm_gamma, cfg.norm_eps)
@@ -321,7 +373,7 @@ def run_block(w: Weights, tokens: Sequence[int], cache: KVCache,
                 tap(li, "ffn_inner", inner.data)
             x = tk.add(x, tk.matmul(inner, lw.w_down))
     except BaseException:
-        cache.filled_len = history  # a failed block leaves the cache as it was
+        cache.row_lens[:] = history  # a failed block leaves the cache as it was
         raise
     return tk.rms_norm(x, w.final_norm_gamma, cfg.norm_eps)
 

@@ -134,17 +134,17 @@ def collect_activations(w: Weights, calib: Sequence[np.ndarray]) -> ActivationSt
     acts = {p: [[] for _ in range(cfg.n_layers)] for p in ("pre_attn", "pre_ffn", "ffn_inner")}
 
     def tap(layer, point, act):
-        acts[point][layer].append(act.copy())
+        acts[point][layer].append(act.reshape(batch.shape + act.shape[1:]).copy())
 
     for batch in calib:
         batch = np.asarray(batch)
         if batch.ndim != 2:
             raise DataError(f"calibration batch must be [rows, seq], got {batch.shape}")
-        for row in batch:
-            run_block(w, row, KVCache.for_config(cfg, dtype=w.token_embedding.dtype),
-                      tap=tap)
+        rows, seq = batch.shape
+        cache = KVCache.for_config(cfg, dtype=w.token_embedding.dtype, rows=rows)
+        run_block(w, batch.reshape(-1), cache, tap=tap, row_lens=[seq] * rows)
     # Rows of every batch in collection order: [rows, seq, C] per layer.
-    return ActivationStats(**{p: [np.stack(rows) for rows in layers]
+    return ActivationStats(**{p: [np.concatenate(rows) for rows in layers]
                               for p, layers in acts.items()})
 
 

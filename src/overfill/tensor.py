@@ -375,58 +375,86 @@ def sum_all(a: ArrayLike) -> Tensor:
     return _emit(np.asarray(av.sum(dtype=av.dtype), dtype=av.dtype), (a,), backward)
 
 
+def _query_grid(x: np.ndarray, qslot, grid: tuple) -> np.ndarray:
+    """Packed [N, n_heads*dh] rows -> [B, kv_head, group*T, dh], grid being
+    (B, T, kv_head, group, dh): the queries of one (row, kv head) as one
+    matrix, scattered onto the [B, T] grid first when qslot is given."""
+    if qslot is not None:
+        full = np.zeros((grid[0] * grid[1], x.shape[1]), dtype=x.dtype)
+        full[qslot] = x
+        x = full
+    b, t, hkv, group, dh = grid
+    return x.reshape(grid).transpose(0, 2, 3, 1, 4).reshape(b, hkv, group * t, dh)
+
+
+def _packed_rows(x4: np.ndarray, qslot, grid: tuple) -> np.ndarray:
+    """Inverse of _query_grid: [B, kv_head, group*T, dh] -> packed rows."""
+    b, t, hkv, group, dh = grid
+    out = x4.reshape(b, hkv, group, t, dh).transpose(0, 3, 1, 2, 4).reshape(b * t, -1)
+    return out if qslot is None else out[qslot]
+
+
 def attend(q: ArrayLike, k: ArrayLike, v: ArrayLike, keys: np.ndarray,
            values: np.ndarray, n_heads: int, n_kv_heads: int, head_dim: int,
-           mask: Optional[np.ndarray] = None) -> Tensor:
-    """Fused causal multi-head attention over [history, block] keys/values.
+           mask: Optional[np.ndarray] = None, slots: Optional[tuple] = None) -> Tensor:
+    """Fused causal multi-head attention of a packed block over cache rows.
 
-    q is [T, n_heads*head_dim]; k and v are the block's [T, n_kv_heads*head_dim]
-    projections. keys/values are [S, n_kv_heads, head_dim] arrays, typically
-    the filled view of a cache, whose last T rows already hold k and v; the
-    S-T history rows before them are constants (no gradient flows into them).
-    Query head h reads kv head h // (n_heads // n_kv_heads). mask, when
-    given, is an additive [T, S] array. Returns [T, n_heads*head_dim].
+    q is [N, n_heads*head_dim]; k and v are the block's [N, n_kv_heads*head_dim]
+    projections. keys/values are [B, S, n_kv_heads, head_dim] arrays, or
+    [S, n_kv_heads, head_dim] for one row, typically cache rows that already
+    hold k and v at the block's positions; every other entry is a constant
+    (no gradient flows into it). Without slots the block is B equal runs of
+    T = N / B tokens, run b being the last T positions of row b. With
+    slots = (qslot, kv_at), token n sits at flat index qslot[n] of a
+    [B, Tmax] query grid, Tmax = mask.shape[1], and keys[kv_at] are the
+    block's own keys in packed order. Query head h reads kv head
+    h // (n_heads // n_kv_heads). mask, when given, is an additive [T, S]
+    array, or [B, Tmax, S] with slots. Returns [N, n_heads*head_dim].
     """
     qv, kv_ = _arr(q), _arr(k)
-    t = qv.shape[0]
-    s = keys.shape[0]
-    s0 = s - t
-    group = n_heads // n_kv_heads
-    if (qv.shape != (t, n_heads * head_dim) or kv_.shape != (t, n_kv_heads * head_dim)
+    if keys.ndim == 3:
+        keys, values = keys[None], values[None]
+    n = qv.shape[0]
+    b, s = keys.shape[:2]
+    qslot, kv_at = slots if slots is not None else (None, None)
+    t = n // b if slots is None else (0 if mask is None else mask.shape[1])
+    if (qv.shape != (n, n_heads * head_dim) or kv_.shape != (n, n_kv_heads * head_dim)
             or _arr(v).shape != kv_.shape):
         raise ShapeError(f"attend: bad q/k/v shapes {qv.shape}, {kv_.shape}, {_arr(v).shape}")
-    if s0 < 0 or keys.shape != (s, n_kv_heads, head_dim) or values.shape != keys.shape:
-        raise ShapeError(f"attend: keys/values {keys.shape}, {values.shape} for a block of {t}")
-    if mask is not None and mask.shape != (t, s):
-        raise ShapeError(f"attend: mask {mask.shape} != {(t, s)}")
+    if (keys.shape[2:] != (n_kv_heads, head_dim) or values.shape != keys.shape
+            or not 0 < t <= s or (mask is not None and mask.shape[-2:] != (t, s))):
+        raise ShapeError(f"attend: keys/values {keys.shape}, {values.shape} and mask "
+                         f"{None if mask is None else mask.shape} for a block of {n}")
+    grid = (b, t, n_kv_heads, n_heads // n_kv_heads, head_dim)
     alpha = qv.dtype.type(1.0 / np.sqrt(head_dim))
 
-    # [kv_head, group, T, dh] queries against [kv_head, 1, S, dh] keys.
-    q4 = qv.reshape(t, n_kv_heads, group, head_dim).transpose(1, 2, 0, 3)
-    k4 = keys.transpose(1, 0, 2)[:, None]     # [Hkv, 1, S, dh]
-    v4 = values.transpose(1, 0, 2)[:, None]
-    scores = (q4 @ k4.swapaxes(-1, -2)) * alpha
+    # One [group*T, dh] @ [dh, S] product per (row, kv head).
+    q4 = _query_grid(qv, qslot, grid)
+    k4 = keys.transpose(0, 2, 1, 3)                       # [B, Hkv, S, dh]
+    v4 = values.transpose(0, 2, 1, 3)
+    scores = q4 @ k4.swapaxes(-1, -2)                     # [B, Hkv, G*T, S]
+    scores *= alpha
     if mask is not None:
-        scores += mask
+        s5 = scores.reshape(b, n_kv_heads, grid[3], t, s)
+        s5 += mask if slots is None else mask[:, None, None]
+    # Softmax in place: one score-sized array at a time bounds peak memory.
     scores -= scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores)
-    p = e / e.sum(axis=-1, keepdims=True)    # [Hkv, G, T, S]
-    out4 = p @ v4                             # [Hkv, G, T, dh]
-    out = out4.transpose(2, 0, 1, 3).reshape(t, n_heads * head_dim)
+    p = np.exp(scores, out=scores)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = _packed_rows(p @ v4, qslot, grid)
 
     def backward(g):
-        g4 = g.reshape(t, n_kv_heads, group, head_dim).transpose(1, 2, 0, 3)
-        gp = g4 @ v4.swapaxes(-1, -2)                     # [Hkv, G, T, S]
-        g4f = np.ascontiguousarray(g4).reshape(n_kv_heads, group * t, head_dim)
-        gv_all = p.reshape(n_kv_heads, group * t, s).swapaxes(-1, -2) @ g4f
-        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
-        gq = (gs @ k4) * alpha                            # [Hkv, G, T, dh]
-        q4f = np.ascontiguousarray(q4).reshape(n_kv_heads, group * t, head_dim)
-        gk_all = gs.reshape(n_kv_heads, group * t, s).swapaxes(-1, -2) @ q4f * alpha
-        gq2 = gq.transpose(2, 0, 1, 3).reshape(t, n_heads * head_dim)
-        gk2 = gk_all[:, s0:].transpose(1, 0, 2).reshape(t, n_kv_heads * head_dim)
-        gv2 = gv_all[:, s0:].transpose(1, 0, 2).reshape(t, n_kv_heads * head_dim)
-        return gq2, gk2, gv2
+        g4 = _query_grid(g, qslot, grid)
+        gs = g4 @ v4.swapaxes(-1, -2)                     # [B, Hkv, G*T, S]
+        gv_all = p.swapaxes(-1, -2) @ g4
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gq = (gs @ k4) * alpha
+        gk_all = (gs.swapaxes(-1, -2) @ q4) * alpha
+        at = (slice(None), slice(s - t, s)) if slots is None else kv_at
+        return (_packed_rows(gq, qslot, grid),
+                gk_all.transpose(0, 2, 1, 3)[at].reshape(n, kv_.shape[1]),
+                gv_all.transpose(0, 2, 1, 3)[at].reshape(n, kv_.shape[1]))
 
     return _emit(out, (q, k, v), backward)
 

@@ -137,33 +137,28 @@ def _batch_loss_rows(prefill_w: Optional[Weights], decode_w: Weights,
                      batch: TrainBatch) -> Tensor:
     """Scalar mean response loss over the batch.
 
-    With a prefill model, each row's prompt runs through it first (its cache
-    rows are constants) and the decode model is teacher-forced over the
-    response block. Without one, the decode model processes the whole row.
+    Every row gets its own cache row. With a prefill model, the rows'
+    prompts run through it first as one packed block (its cache rows are
+    constants) and the decode model is teacher-forced over all the response
+    blocks as a second one. Without one, the decode model processes the
+    whole rows in one block.
     """
     dtype = decode_w.token_embedding.dtype
-    row_sums = []
-    total = 0
-    for b in range(batch.size):
-        m = int(batch.prefill_lens[b])
-        n = int(batch.row_lengths[b])
-        ids = batch.token_ids[b, :n]
-        cache = KVCache.for_config(decode_w.config, dtype=dtype)
-        lo = 0 if prefill_w is None else m - 1
-        if lo > 0:
-            run_block(prefill_w, ids[:lo], cache)
-        hidden = run_block(decode_w, ids[lo: n - 1], cache)
-        logits = lm_logits(decode_w, hidden)
-        ce = tk.cross_entropy_rows(logits, batch.targets[b, lo: n - 1])
-        msk = batch.loss_mask[b, lo: n - 1]
-        row_sums.append(tk.sum_all(tk.mul(ce, msk.astype(dtype))))
-        total += int(msk.sum())
+    ends = batch.row_lengths[:, None] - 1          # the last token has no target
+    lo = (np.zeros_like(batch.prefill_lens) if prefill_w is None
+          else batch.prefill_lens - 1)[:, None]
+    cols = np.arange(batch.token_ids.shape[1])[None, :]
+    prompt, block = cols < lo, (cols >= lo) & (cols < ends)
+    cache = KVCache.for_config(decode_w.config, dtype=dtype, rows=batch.size)
+    if prompt.any():
+        run_block(prefill_w, batch.token_ids[prompt], cache, row_lens=prompt.sum(axis=1))
+    hidden = run_block(decode_w, batch.token_ids[block], cache, row_lens=block.sum(axis=1))
+    ce = tk.cross_entropy_rows(lm_logits(decode_w, hidden), batch.targets[block])
+    msk = batch.loss_mask[block]
+    total = int(msk.sum())
     if total == 0:
         raise DataError("loss mask has no true entries")
-    acc = row_sums[0]
-    for s in row_sums[1:]:
-        acc = tk.add(acc, s)
-    return tk.scale(acc, 1.0 / total)
+    return tk.scale(tk.sum_all(tk.mul(ce, msk.astype(dtype))), 1.0 / total)
 
 
 def train_step(prefill_w: Optional[Weights], w: Weights, batch: TrainBatch,

@@ -86,6 +86,15 @@ def test_f64_weights_not_checkpointable(tmp_path):
         save_checkpoint(tmp_path / "m.ovfl", w)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_not_checkpointable(tmp_path, bad):
+    w = init_model(DESK_CONFIG, seed=0)
+    w.tensor("layers.0.w_q").data[3, 5] = bad
+    with pytest.raises(DataError, match="layers.0.w_q holds NaN or Inf"):
+        save_checkpoint(tmp_path / "m.ovfl", w)
+    assert not (tmp_path / "m.ovfl").exists()
+
+
 def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "cfg.json"
     save_config(path, DESK_CONFIG)

@@ -151,6 +151,22 @@ def test_run_config_accepts_ints_for_floats_and_none_where_optional(tmp_path):
     ({"seed": -1}, "/seed: expected >= 0, got -1"),
     ({"gen": {"max_new_tokens": -1}}, "/gen: max_new_tokens must be >= 0, got -1"),
     ({"gen": {"temperature": -0.5}}, "/gen: temperature must be >= 0, got -0.5"),
+    ({"train": {"base_lr": -0.01}}, "/train/base_lr: expected > 0, got -0.01"),
+    ({"train": {"base_lr": 0}}, "/train/base_lr: expected > 0, got 0"),
+    ({"train": {"warmup_ratio": 1}}, "/train/warmup_ratio: expected in [0, 1), got 1"),
+    ({"train": {"warmup_ratio": -0.1}}, "/train/warmup_ratio: expected in [0, 1), got -0.1"),
+    ({"train": {"max_seq_len": 1}}, "/train/max_seq_len: expected >= 2, got 1"),
+    ({"train": {"checkpoint_every": -1}}, "/train/checkpoint_every: expected >= 0, got -1"),
+    ({"train": {"train_per_kind": 0}}, "/train/train_per_kind: expected >= 1, got 0"),
+    ({"train": {"eval_per_kind": 0}}, "/train/eval_per_kind: expected >= 1, got 0"),
+    ({"train": {"kinds": ["copy", 5]}}, "/train/kinds: expected names from "
+     "['copy', 'reverse', 'modadd', 'kvlookup'], got ['copy', 5]"),
+    ({"train": {"kinds": ["copy", "sort"]}}, "/train/kinds: expected names from "
+     "['copy', 'reverse', 'modadd', 'kvlookup'], got ['copy', 'sort']"),
+    ({"bench": {"gen_lens": ["a"]}}, "/bench/gen_lens: expected positive ints, got ['a']"),
+    ({"bench": {"gen_lens": [32, 0]}}, "/bench/gen_lens: expected positive ints, got [32, 0]"),
+    ({"bench": {"gen_lens": [True]}}, "/bench/gen_lens: expected positive ints, got [True]"),
+    ({"bench": {"gen_lens": [8.0]}}, "/bench/gen_lens: expected positive ints, got [8.0]"),
 ])
 def test_run_config_errors_name_the_json_pointer(tmp_path, doc, message):
     with pytest.raises(DataError) as info:
@@ -196,7 +212,10 @@ def test_bad_generation_params_exit_2(run_dir, capsys, gen, message):
     ({"seed": -1}, (), "/seed: expected >= 0, got -1"),
     ({}, ("--seed", "-1"), "/seed: expected >= 0, got -1"),
     ({"gen": {"max_new_tokens": -1}}, (), "/gen: max_new_tokens must be >= 0"),
-], ids=["seed", "seed-flag", "max-new-tokens"])
+    ({"bench": {"gen_lens": ["a"]}}, (), "/bench/gen_lens: expected positive ints"),
+    ({"train": {"kinds": ["copy", 5]}}, (), "/train/kinds: expected names from"),
+    ({"train": {"base_lr": -0.01}}, (), "/train/base_lr: expected > 0, got -0.01"),
+], ids=["seed", "seed-flag", "max-new-tokens", "gen-lens", "kinds", "base-lr"])
 def test_out_of_range_run_config_exits_2(run_dir, capsys, subcommand, doc, args, message):
     (run_dir / "run.json").write_text(json.dumps(doc))
     extra = ("--prompt", "hi") if subcommand == "generate" else ()

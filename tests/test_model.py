@@ -183,6 +183,118 @@ def test_cache_growth_keeps_history():
     assert (cache.keys(1)[:3] == 7.0).all() and cache.keys(1).shape[0] == 274
 
 
+def test_cache_rows_grow_together_and_keep_their_own_lengths():
+    cache = KVCache.for_config(TINY_CONFIG, rows=3)
+    cache.append_block(5, row=1)
+    cache.keys(0, row=1)[:] = 3.0
+    assert cache.append_block(100, row=2) == 0
+    assert cache.row_lens == [0, 5, 100] and cache.filled_len == 0
+    assert (cache.keys(0, row=1) == 3.0).all() and cache.keys(0, row=1).shape[0] == 5
+    keys, values = cache.block_view(1, 100)
+    assert keys.shape == values.shape == (3, 100, TINY_CONFIG.n_kv_heads, TINY_CONFIG.head_dim)
+
+
+# ---------------------------------------------------------------------------
+# packed rows
+# ---------------------------------------------------------------------------
+
+def _tap_log(log):
+    return lambda layer, point, act: log.append((layer, point, act.copy()))
+
+
+def test_packed_rows_match_one_row_calls():
+    # Ragged prompts (one of them empty) in one packed call, then a decoder
+    # block per row continuing that multi-row cache, against each row run
+    # alone through its own one-row cache.
+    w = init_model(DESK_CONFIG, seed=8)
+    rng = np.random.default_rng(8)
+    prompt_lens, block_lens = [5, 11, 0, 8], [3, 1, 6, 4]
+    prompts = [random_tokens(rng, n) for n in prompt_lens]
+    blocks = [random_tokens(rng, n) for n in block_lens]
+
+    cache = KVCache.for_config(DESK_CONFIG, rows=4)
+    taps = []
+    pre = run_block(w, sum(prompts, []), cache, tap=_tap_log(taps), row_lens=prompt_lens)
+    dec = run_block(w, sum(blocks, []), cache, tap=_tap_log(taps), row_lens=block_lens)
+    assert cache.row_lens == [p + b for p, b in zip(prompt_lens, block_lens)]
+
+    p_off, b_off = np.cumsum([0] + prompt_lens), np.cumsum([0] + block_lens)
+    n_pre = len(taps) // 2
+    for r in range(4):
+        alone = KVCache.for_config(DESK_CONFIG)
+        alone_taps = []
+        if prompt_lens[r]:
+            hp = run_block(w, prompts[r], alone, tap=_tap_log(alone_taps))
+            np.testing.assert_allclose(pre.numpy()[p_off[r]: p_off[r + 1]], hp.numpy(),
+                                       rtol=1e-5, atol=1e-5)
+            for (_, _, got), (_, _, want) in zip(taps[:n_pre], alone_taps):
+                np.testing.assert_allclose(got[p_off[r]: p_off[r + 1]], want,
+                                           rtol=1e-5, atol=1e-5)
+            alone_taps.clear()
+        hd = run_block(w, blocks[r], alone, tap=_tap_log(alone_taps))
+        np.testing.assert_allclose(dec.numpy()[b_off[r]: b_off[r + 1]], hd.numpy(),
+                                   rtol=1e-5, atol=1e-5)
+        for (li, point, got), (li_, point_, want) in zip(taps[n_pre:], alone_taps):
+            assert (li, point) == (li_, point_)
+            np.testing.assert_allclose(got[b_off[r]: b_off[r + 1]], want, rtol=1e-5, atol=1e-5)
+        for layer in range(DESK_CONFIG.n_layers):
+            np.testing.assert_allclose(cache.keys(layer, r), alone.keys(layer),
+                                       rtol=1e-5, atol=1e-5)
+            np.testing.assert_allclose(cache.values(layer, r), alone.values(layer),
+                                       rtol=1e-5, atol=1e-5)
+
+
+def test_one_row_call_with_row_lens_is_the_default_call():
+    w = init_model(DESK_CONFIG, seed=9)
+    tokens = random_tokens(np.random.default_rng(9), 12)
+    a, b = KVCache.for_config(DESK_CONFIG), KVCache.for_config(DESK_CONFIG)
+    for lo, hi in ((0, 9), (9, 10), (10, 12)):
+        ha = run_block(w, tokens[lo:hi], a)
+        hb = run_block(w, tokens[lo:hi], b, row_lens=[hi - lo])
+        np.testing.assert_array_equal(ha.numpy(), hb.numpy())
+    for layer in range(DESK_CONFIG.n_layers):
+        np.testing.assert_array_equal(a.keys(layer), b.keys(layer))
+        np.testing.assert_array_equal(a.values(layer), b.values(layer))
+
+
+def test_a_row_never_sees_another_rows_tokens():
+    w = init_model(DESK_CONFIG, seed=10)
+    rng = np.random.default_rng(10)
+    lens, more = [6, 9, 4], [2, 3, 1]
+    tokens, tail = random_tokens(rng, sum(lens)), random_tokens(rng, sum(more))
+    variant, variant_tail = list(tokens), list(tail)
+    for i in range(6, 15):                       # every prompt token of row 1
+        variant[i] = (variant[i] + 1 + i) % DESK_CONFIG.vocab_size
+    variant_tail[2] = (variant_tail[2] + 5) % DESK_CONFIG.vocab_size   # row 1's block
+
+    def run(prompt, block):
+        cache = KVCache.for_config(DESK_CONFIG, rows=3)
+        h = run_block(w, prompt, cache, row_lens=lens)
+        d = run_block(w, block, cache, row_lens=more)
+        return h.numpy(), d.numpy(), cache
+
+    h1, d1, c1 = run(tokens, tail)
+    h2, d2, c2 = run(variant, variant_tail)
+    for lo, hi in ((0, 6), (15, 19)):
+        np.testing.assert_array_equal(h1[lo:hi], h2[lo:hi])
+    for lo, hi in ((0, 2), (5, 6)):
+        np.testing.assert_array_equal(d1[lo:hi], d2[lo:hi])
+    assert not (d1[2:5] == d2[2:5]).all()
+    for layer in range(DESK_CONFIG.n_layers):
+        for r in (0, 2):
+            np.testing.assert_array_equal(c1.keys(layer, r), c2.keys(layer, r))
+            np.testing.assert_array_equal(c1.values(layer, r), c2.values(layer, r))
+
+
+def test_row_lens_must_split_the_block_over_the_cache_rows():
+    w = init_model(DESK_CONFIG, seed=0)
+    cache = KVCache.for_config(DESK_CONFIG, rows=2)
+    for bad in ([3, 2], [6], [6, 0, 0], [7, -1]):
+        with pytest.raises(ValueError, match="row lengths"):
+            run_block(w, [1, 2, 3, 4, 5, 6], cache, row_lens=bad)
+    assert cache.row_lens == [0, 0]
+
+
 # ---------------------------------------------------------------------------
 # causality
 # ---------------------------------------------------------------------------

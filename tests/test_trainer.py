@@ -6,7 +6,8 @@ import pytest
 
 from overfill.corpus import ChatExample, Tokenizer, format_chat, gen_mixture, gen_tasks
 from overfill.errors import DataError
-from overfill.model import init_model
+from overfill import tensor as tk
+from overfill.model import KVCache, init_model, lm_logits, run_block
 from overfill.pruner import ImportanceScores, identity_selection, select_channels, slice_model
 from overfill.tensor import GradTape, grad_of
 from overfill.trainer import (OptState, TrainBatch, _batch_loss_rows, build_batch,
@@ -159,6 +160,56 @@ def test_masked_ce_gradient_matches_finite_differences():
             flat[idx] = orig
             fd = (up - dn) / (2 * h)
             assert abs(fd - gflat[idx]) <= 1e-3 * max(abs(fd), abs(gflat[idx]), 1e-6)
+
+
+def per_row_loss(prefill_w, w, batch):
+    """The response loss with each row run alone through its own cache."""
+    sums, total = [], 0
+    for b in range(batch.size):
+        m, n = int(batch.prefill_lens[b]), int(batch.row_lengths[b])
+        ids = batch.token_ids[b, :n]
+        cache = KVCache.for_config(w.config, dtype=w.token_embedding.dtype)
+        lo = 0 if prefill_w is None else m - 1
+        if lo > 0:
+            run_block(prefill_w, ids[:lo], cache)
+        ce = tk.cross_entropy_rows(lm_logits(w, run_block(w, ids[lo: n - 1], cache)),
+                                   batch.targets[b, lo: n - 1])
+        msk = batch.loss_mask[b, lo: n - 1]
+        sums.append(tk.sum_all(tk.mul(ce, msk.astype(ce.dtype))))
+        total += int(msk.sum())
+    acc = sums[0]
+    for s in sums[1:]:
+        acc = tk.add(acc, s)
+    return tk.scale(acc, 1.0 / total)
+
+
+@pytest.mark.parametrize("two_model", [False, True])
+def test_packed_loss_matches_the_per_row_loss(two_model):
+    cfg = desk_small()
+
+    def pair(dtype):
+        return (init_model(cfg, seed=11, dtype=dtype).freeze(),
+                init_model(cfg, seed=12, dtype=dtype).set_requires_grad(True))
+
+    examples = [ex for kind in ("copy", "reverse", "modadd", "kvlookup")
+                for ex in gen_tasks(kind, 12, 2)]
+    batch = build_batch(examples, TOK, max_seq_len=96)
+    assert len(set(batch.row_lengths.tolist())) > 1 and len(set(batch.prefill_lens.tolist())) > 1
+    full, pruned = pair(np.float32)
+    prefill_w = full if two_model else None
+    packed = _batch_loss_rows(prefill_w, pruned, batch).item()
+    want = per_row_loss(prefill_w, pruned, batch).item()
+    assert abs(packed - want) <= 1e-6 * abs(want)
+
+    # The gradients too, in float64 where the two sums agree more closely.
+    full64, pruned64 = pair(np.float64)
+    grads = []
+    for loss_fn in (_batch_loss_rows, per_row_loss):
+        with GradTape() as tape:
+            loss = loss_fn(full64 if two_model else None, pruned64, batch)
+        grads.append(grad_of(loss, tape, pruned64.tensors()))
+    for p in pruned64.tensors():
+        np.testing.assert_allclose(grads[0][p], grads[1][p], rtol=1e-9, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
