@@ -260,6 +260,12 @@ def cmd_calibrate(args, cfg: dict) -> int:
     return 0
 
 
+def _is_score_list(value) -> bool:
+    """A JSON list of finite numbers that fit a float; bools do not count."""
+    return isinstance(value, list) and all(
+        type(x) in (int, float) and abs(x) <= sys.float_info.max for x in value)
+
+
 def cmd_prune(args, cfg: dict) -> int:
     run_dir = Path(args.out)
     w = _load_model(run_dir, "base")
@@ -270,13 +276,16 @@ def cmd_prune(args, cfg: dict) -> int:
     pcfg = _prune_config(cfg)
     calib_path = _require(run_dir / "calibration.json", "calibration scores")
     doc = read_json_object(calib_path, "calibration file")
-    try:
-        scores = ImportanceScores(
-            hidden_scores=np.asarray(doc["hidden_scores"], dtype=np.float64),
-            inter_scores=[np.asarray(s, dtype=np.float64) for s in doc["inter_scores"]])
-        provenance = doc.get("provenance", {})
-    except KeyError as exc:
-        raise DataError(f"{calib_path}: malformed calibration file: {exc}") from exc
+    hidden, inter = doc.get("hidden_scores"), doc.get("inter_scores")
+    if not _is_score_list(hidden):
+        raise DataError(f"{calib_path}: hidden_scores must be a list of finite numbers")
+    if not (isinstance(inter, list) and all(map(_is_score_list, inter))):
+        raise DataError(f"{calib_path}: inter_scores must be a list of lists of finite numbers")
+    scores = ImportanceScores(hidden_scores=np.asarray(hidden, dtype=np.float64),
+                              inter_scores=[np.asarray(s, dtype=np.float64) for s in inter])
+    provenance = doc.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise DataError(f"{calib_path}: provenance must be an object")
 
     pruned, pruned_cfg, sel = select_and_slice(w, scores, pcfg, provenance)
     sel.save(run_dir / "selection.json")

@@ -67,22 +67,24 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def prefill(prefill_w: Weights, decode_w: Weights, prompt: Sequence[int]) -> KVCache:
-    """Run prefill_w over all but the last prompt token into a fresh cache
-    that decode_w can continue."""
+def generate(prefill_w: Weights, decode_w: Weights, prompt: Sequence[int],
+             params: GenParams) -> tuple[list[int], KVCache]:
+    """Prefill with prefill_w over all but the last prompt token, then feed
+    that token to decode_w over the same cache and sample up to
+    max_new_tokens, ending at the stop token if one is emitted.
+
+    Returns the emitted tokens and the cache: rows below len(prompt) - 1
+    hold prefill_w's keys and values, the rest decode_w's. Deterministic
+    given the params seed.
+    """
+    params.validate()
     if len(prompt) < 2:
         raise DataError(f"prompt must have at least 2 tokens, got {len(prompt)}")
     check_handoff(prefill_w.config, decode_w.config)
     cache = KVCache.for_config(prefill_w.config, dtype=prefill_w.token_embedding.dtype)
     forward_prefill(prefill_w, prompt[:-1], cache)
-    return cache
-
-
-def decode(decode_w: Weights, cache: KVCache, token: int, params: GenParams) -> list[int]:
-    """Feed token (the last prompt token) to decode_w, then sample up to
-    max_new_tokens, ending at the stop token if one is emitted."""
     rng = make_rng(params.seed)
-    logits, _ = decode_step(decode_w, token, cache, cache.filled_len)
+    logits, _ = decode_step(decode_w, prompt[-1], cache, cache.filled_len)
     emitted: list[int] = []
     for _ in range(params.max_new_tokens):
         tok = sample(logits, params.temperature, rng)
@@ -90,20 +92,7 @@ def decode(decode_w: Weights, cache: KVCache, token: int, params: GenParams) -> 
         if tok == params.stop_token or len(emitted) == params.max_new_tokens:
             break
         logits, _ = decode_step(decode_w, tok, cache, cache.filled_len)
-    return emitted
-
-
-def generate(prefill_w: Weights, decode_w: Weights, prompt: Sequence[int],
-             params: GenParams) -> tuple[list[int], KVCache]:
-    """prefill with prefill_w, then decode with decode_w over the same cache.
-
-    Returns the emitted tokens and the cache: rows below len(prompt) - 1
-    hold prefill_w's keys and values, the rest decode_w's. Deterministic
-    given the params seed.
-    """
-    params.validate()
-    cache = prefill(prefill_w, decode_w, prompt)
-    return decode(decode_w, cache, prompt[-1], params), cache
+    return emitted, cache
 
 
 def overfill_generate(full_w: Weights, pruned_w: Weights, prompt: Sequence[int],

@@ -5,7 +5,8 @@ the embeddings, and the norms) because the residual stream couples them
 across layers; FFN intermediate channels are scored per layer. Slicing is
 value-preserving: every retained scalar equals the corresponding entry of
 the full model, and the attention geometry (and hence the KV cache shape)
-is never touched.
+is never touched. Calibration keeps only float64 sums of squared
+activations, so its memory does not grow with the calibration set.
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ class PruneConfig:
 
 @dataclass
 class ActivationStats:
-    """Raw activations at the three per-layer scoring points.
+    """Sums of squared activations at the three per-layer scoring points.
 
-    Each list has one [batch, seq, channels] array per layer; batch spans
-    all calibration batches in collection order.
+    Each list has one float64 [seq, channels] array per layer: the sum over
+    every calibration row, added one row at a time in collection order.
     """
     pre_attn: list[np.ndarray]
     pre_ffn: list[np.ndarray]
@@ -127,31 +128,34 @@ def compute_pruned_dims(hidden_dim: int, intermediate_dim: int,
 def collect_activations(w: Weights, calib: Sequence[np.ndarray]) -> ActivationStats:
     """Run calibration batches through the model, tapping the three scoring
     points per layer: post attention-norm, post FFN-norm, and the gated FFN
-    inner activation just before the down projection."""
-    if len(calib) == 0:
+    inner activation just before the down projection. Each tapped row is
+    squared in float64 and added to its point's running sum."""
+    batches = [np.asarray(b) for b in calib]
+    if not batches:
         raise DataError("calibration set is empty")
-    cfg = w.config
-    acts = {p: [[] for _ in range(cfg.n_layers)] for p in ("pre_attn", "pre_ffn", "ffn_inner")}
+    for b in batches:
+        if b.ndim != 2 or b.shape[1] != batches[0].shape[1]:
+            raise DataError(f"calibration batches must be [rows, seq] with the first "
+                            f"batch's sequence length, got {b.shape} after {batches[0].shape}")
+    cfg, seq = w.config, batches[0].shape[1]
+    sums = {p: [np.zeros((seq, c)) for _ in range(cfg.n_layers)]
+            for p, c in (("pre_attn", cfg.hidden_dim), ("pre_ffn", cfg.hidden_dim),
+                         ("ffn_inner", cfg.intermediate_dim))}
 
     def tap(layer, point, act):
-        acts[point][layer].append(act.reshape(batch.shape + act.shape[1:]).copy())
+        total = sums[point][layer]
+        for row in act.reshape((-1,) + total.shape):
+            total += np.square(row, dtype=np.float64)
 
-    for batch in calib:
-        batch = np.asarray(batch)
-        if batch.ndim != 2:
-            raise DataError(f"calibration batch must be [rows, seq], got {batch.shape}")
-        rows, seq = batch.shape
-        cache = KVCache.for_config(cfg, dtype=w.token_embedding.dtype, rows=rows)
-        run_block(w, batch.reshape(-1), cache, tap=tap, row_lens=[seq] * rows)
-    # Rows of every batch in collection order: [rows, seq, C] per layer.
-    return ActivationStats(**{p: [np.concatenate(rows) for rows in layers]
-                              for p, layers in acts.items()})
+    for batch in batches:
+        cache = KVCache.for_config(cfg, dtype=w.token_embedding.dtype, rows=len(batch))
+        run_block(w, batch.reshape(-1), cache, tap=tap, row_lens=[seq] * len(batch))
+    return ActivationStats(**sums)
 
 
-def _hook_score(act: np.ndarray) -> np.ndarray:
-    """L2 norm across the batch axis, then mean across sequence positions."""
-    a = act.astype(np.float64)
-    return np.sqrt((a * a).sum(axis=0)).mean(axis=0)
+def _hook_score(sumsq: np.ndarray) -> np.ndarray:
+    """L2 norm across rows, then mean across sequence positions."""
+    return np.sqrt(sumsq).mean(axis=0)
 
 
 def score_channels(stats: ActivationStats) -> ImportanceScores:

@@ -400,20 +400,17 @@ def attend(q: ArrayLike, k: ArrayLike, v: ArrayLike, keys: np.ndarray,
     """Fused causal multi-head attention of a packed block over cache rows.
 
     q is [N, n_heads*head_dim]; k and v are the block's [N, n_kv_heads*head_dim]
-    projections. keys/values are [B, S, n_kv_heads, head_dim] arrays, or
-    [S, n_kv_heads, head_dim] for one row, typically cache rows that already
-    hold k and v at the block's positions; every other entry is a constant
-    (no gradient flows into it). Without slots the block is B equal runs of
-    T = N / B tokens, run b being the last T positions of row b. With
-    slots = (qslot, kv_at), token n sits at flat index qslot[n] of a
-    [B, Tmax] query grid, Tmax = mask.shape[1], and keys[kv_at] are the
-    block's own keys in packed order. Query head h reads kv head
-    h // (n_heads // n_kv_heads). mask, when given, is an additive [T, S]
-    array, or [B, Tmax, S] with slots. Returns [N, n_heads*head_dim].
+    projections. keys/values are [B, S, n_kv_heads, head_dim] arrays,
+    typically cache rows that already hold k and v at the block's positions;
+    every other entry is a constant (no gradient flows into it). Without
+    slots the block is B equal runs of T = N / B tokens, run b being the
+    last T positions of row b. With slots = (qslot, kv_at), token n sits at
+    flat index qslot[n] of a [B, Tmax] query grid, Tmax = mask.shape[1], and
+    keys[kv_at] are the block's own keys in packed order. Query head h reads
+    kv head h // (n_heads // n_kv_heads). mask, when given, is an additive
+    [T, S] array, or [B, Tmax, S] with slots. Returns [N, n_heads*head_dim].
     """
     qv, kv_ = _arr(q), _arr(k)
-    if keys.ndim == 3:
-        keys, values = keys[None], values[None]
     n = qv.shape[0]
     b, s = keys.shape[:2]
     qslot, kv_at = slots if slots is not None else (None, None)

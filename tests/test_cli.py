@@ -357,3 +357,24 @@ def test_roofline_writes_a_row_per_mode_and_length(tmp_path, full_spec, pruned_s
     assert [(r[0], r[2], r[7]) for r in rows[1:]] == [
         (mode, str(n), str(param_count(decoder[mode])))
         for mode in ("full", "pruned", "overfill") for n in (32, 64, 128)]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("hidden_scores", "x"),
+    ("inter_scores", 5),
+    ("hidden_scores", [[1.0, 2.0], [3.0]]),
+    ("hidden_scores", [True] + [1.0] * (DESK_CONFIG.hidden_dim - 1)),
+    ("inter_scores", [[1.0] * DESK_CONFIG.intermediate_dim] * (DESK_CONFIG.n_layers - 1)
+     + [[float("nan")] + [1.0] * (DESK_CONFIG.intermediate_dim - 1)]),
+    ("provenance", 5),
+], ids=["string", "number", "ragged-list", "true-element", "nan-element", "provenance"])
+def test_calibration_scores_of_the_wrong_json_type_exit_2(run_dir, capsys, key, value):
+    doc = {"hidden_scores": [1.0] * DESK_CONFIG.hidden_dim,
+           "inter_scores": [[1.0] * DESK_CONFIG.intermediate_dim] * DESK_CONFIG.n_layers,
+           key: value}
+    (run_dir / "calibration.json").write_text(json.dumps(doc))
+    code = run_cli(run_dir, "prune")
+    err = capsys.readouterr().err
+    assert code == 2 and "calibration.json" in err and key in err
+    assert "Traceback" not in err
+    assert not (run_dir / "selection.json").exists()

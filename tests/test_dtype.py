@@ -27,7 +27,7 @@ def _mask(t, s, dt):
 
 def _kv(seed, block, dt):
     hist = np.random.default_rng(seed).normal(size=(2, 1, 2)).astype(dt)
-    return np.concatenate([hist, block.data.reshape(3, 1, 2)])
+    return np.concatenate([hist, block.data.reshape(3, 1, 2)])[None]
 
 
 # Each case maps float tensors of one dtype (x [3,4], w [4,2], u [5,4],

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from overfill import pruner
 from overfill.errors import ConfigError, DataError
-from overfill.model import DESK_CONFIG, KVCache, cache_shape, init_model
+from overfill.model import DESK_CONFIG, KVCache, cache_shape, init_model, run_block
 from overfill.perfmodel import param_count
 from overfill.pruner import (ActivationStats, ChannelSelection, ImportanceScores,
                              PruneConfig, collect_activations, compute_pruned_dims,
@@ -62,25 +63,30 @@ def test_pruned_dims_reject_empty_result():
 # activation collection
 # ---------------------------------------------------------------------------
 
+def _sumsq(act):
+    """What collect_activations keeps of raw [rows, seq, C] activations."""
+    return (act * act).sum(axis=0)
+
+
 def test_collect_activations_shapes():
     w = init_model(DESK_CONFIG, seed=0)
     batch = np.random.default_rng(0).integers(0, 260, size=(1, 8))
     stats = collect_activations(w, [batch])
     assert len(stats.pre_attn) == DESK_CONFIG.n_layers
     for li in range(DESK_CONFIG.n_layers):
-        assert stats.pre_attn[li].shape == (1, 8, 64)
-        assert stats.pre_ffn[li].shape == (1, 8, 64)
-        assert stats.ffn_inner[li].shape == (1, 8, 256)
+        assert stats.pre_attn[li].shape == (8, 64)
+        assert stats.pre_ffn[li].shape == (8, 64)
+        assert stats.ffn_inner[li].shape == (8, 256)
 
 
 def test_collect_activations_identical_rows_identical_stats():
     w = init_model(DESK_CONFIG, seed=1)
     row = np.random.default_rng(1).integers(0, 260, size=8)
-    batch = np.stack([row, row, row])
-    stats = collect_activations(w, [batch])
-    for li in range(DESK_CONFIG.n_layers):
-        for arr in (stats.pre_attn[li], stats.pre_ffn[li], stats.ffn_inner[li]):
-            assert (arr[0] == arr[1]).all() and (arr[1] == arr[2]).all()
+    one = collect_activations(w, [row[None]])
+    three = collect_activations(w, [np.stack([row, row, row])])
+    for point in ("pre_attn", "pre_ffn", "ffn_inner"):
+        for s1, s3 in zip(getattr(one, point), getattr(three, point)):
+            np.testing.assert_allclose(s3, 3 * s1, rtol=1e-5)
 
 
 def test_collect_activations_empty_rejected():
@@ -93,12 +99,61 @@ def test_collected_activations_match_independent_reinstrumentation():
     w = init_model(TINY_CONFIG, seed=2, dtype=np.float64)
     rows = np.random.default_rng(2).integers(0, TINY_CONFIG.vocab_size, size=(2, 6))
     stats = collect_activations(w, [rows])
-    for b, row in enumerate(rows):
-        _, taps = ref_forward(w, row, collect_taps=True)
-        for li in range(TINY_CONFIG.n_layers):
-            assert np.abs(stats.pre_attn[li][b] - taps[(li, "pre_attn")]).max() < 1e-9
-            assert np.abs(stats.pre_ffn[li][b] - taps[(li, "pre_ffn")]).max() < 1e-9
-            assert np.abs(stats.ffn_inner[li][b] - taps[(li, "ffn_inner")]).max() < 1e-9
+    taps = [ref_forward(w, row, collect_taps=True)[1] for row in rows]
+    for li in range(TINY_CONFIG.n_layers):
+        for point in ("pre_attn", "pre_ffn", "ffn_inner"):
+            expected = sum(t[(li, point)] ** 2 for t in taps)
+            assert np.abs(getattr(stats, point)[li] - expected).max() < 1e-9
+
+
+def test_scores_equal_the_formula_over_every_kept_activation():
+    # The reference keeps every tapped row, concatenates the batches and
+    # scores sqrt((a * a).sum(axis=0)).mean(axis=0) in float64; running sums
+    # added in collection order must give the same bits.
+    w = init_model(TINY_CONFIG, seed=7)
+    rng = np.random.default_rng(7)
+    batches = [rng.integers(0, TINY_CONFIG.vocab_size, size=(r, 6)) for r in (3, 1, 2)]
+    kept = {}
+    for batch in batches:
+        def keep(li, point, act, shape=batch.shape):
+            kept.setdefault((li, point), []).append(act.reshape(shape + act.shape[1:]).copy())
+
+        cache = KVCache.for_config(TINY_CONFIG, rows=len(batch))
+        run_block(w, batch.reshape(-1), cache, tap=keep, row_lens=[6] * len(batch))
+
+    def reference_score(li, point):
+        a = np.concatenate(kept[(li, point)]).astype(np.float64)
+        return np.sqrt((a * a).sum(axis=0)).mean(axis=0)
+
+    scores = score_channels(collect_activations(w, batches))
+    hidden = np.zeros(TINY_CONFIG.hidden_dim)
+    for li in range(TINY_CONFIG.n_layers):
+        hidden += reference_score(li, "pre_attn") + reference_score(li, "pre_ffn")
+        assert np.array_equal(scores.inter_scores[li], reference_score(li, "ffn_inner"))
+    assert np.array_equal(scores.hidden_scores, hidden)
+
+
+def test_activation_stats_do_not_grow_with_the_calibration_set():
+    w = init_model(TINY_CONFIG, seed=8)
+    batches = np.random.default_rng(8).integers(0, TINY_CONFIG.vocab_size, size=(4, 2, 6))
+
+    def nbytes(stats):
+        return sum(a.nbytes for point in (stats.pre_attn, stats.pre_ffn, stats.ffn_inner)
+                   for a in point)
+
+    assert nbytes(collect_activations(w, batches[:1])) == nbytes(collect_activations(w, batches))
+
+
+def test_unequal_sequence_lengths_rejected_before_any_batch_runs(monkeypatch):
+    w = init_model(TINY_CONFIG, seed=9)
+    rng = np.random.default_rng(9)
+    batches = [rng.integers(0, TINY_CONFIG.vocab_size, size=(2, n)) for n in (6, 5)]
+    calls = []
+    real = pruner.run_block
+    monkeypatch.setattr(pruner, "run_block", lambda *a, **k: calls.append(1) or real(*a, **k))
+    with pytest.raises(DataError, match="sequence length"):
+        collect_activations(w, batches)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +162,8 @@ def test_collected_activations_match_independent_reinstrumentation():
 
 def test_score_batch_of_one_degenerates_to_mean_abs():
     act = np.random.default_rng(3).normal(size=(1, 5, 4))
-    stats = ActivationStats(pre_attn=[act], pre_ffn=[np.zeros_like(act)],
-                            ffn_inner=[np.zeros((1, 5, 6))])
+    stats = ActivationStats(pre_attn=[_sumsq(act)], pre_ffn=[np.zeros((5, 4))],
+                            ffn_inner=[np.zeros((5, 6))])
     scores = score_channels(stats)
     np.testing.assert_allclose(scores.hidden_scores, np.abs(act[0]).mean(axis=0),
                                atol=1e-12)
@@ -118,8 +173,9 @@ def test_score_homogeneity_and_rank_stability():
     rng = np.random.default_rng(4)
     act = rng.normal(size=(3, 5, 4))
     inner = rng.normal(size=(3, 5, 6))
-    s1 = score_channels(ActivationStats([act], [act], [inner]))
-    s2 = score_channels(ActivationStats([act * 2], [act * 2], [inner * 2]))
+    s1 = score_channels(ActivationStats([_sumsq(act)], [_sumsq(act)], [_sumsq(inner)]))
+    s2 = score_channels(ActivationStats([_sumsq(act * 2)], [_sumsq(act * 2)],
+                                        [_sumsq(inner * 2)]))
     np.testing.assert_allclose(s2.hidden_scores, 2 * s1.hidden_scores, rtol=1e-12)
     assert (np.argsort(s1.hidden_scores) == np.argsort(s2.hidden_scores)).all()
     np.testing.assert_allclose(s2.inter_scores[0], 2 * s1.inter_scores[0], rtol=1e-12)
@@ -131,7 +187,9 @@ def test_scores_match_spreadsheet_style_oracle():
     pre_attn = [rng.normal(size=(2, 3, 4)) for _ in range(2)]
     pre_ffn = [rng.normal(size=(2, 3, 4)) for _ in range(2)]
     inner = [rng.normal(size=(2, 3, 6)) for _ in range(2)]
-    scores = score_channels(ActivationStats(pre_attn, pre_ffn, inner))
+    scores = score_channels(ActivationStats([_sumsq(a) for a in pre_attn],
+                                            [_sumsq(a) for a in pre_ffn],
+                                            [_sumsq(a) for a in inner]))
 
     def hook(a):
         out = np.zeros(a.shape[-1])

@@ -251,8 +251,9 @@ FD_CASES = {
 
 
 def _HIST(seed, block):
-    """Two constant history rows followed by the block's own rows."""
-    return np.concatenate([rng(seed).normal(size=(2, 1, 2)), block.data.reshape(3, 1, 2)])
+    """One cache row: two constant history positions, then the block's own."""
+    return np.concatenate([rng(seed).normal(size=(2, 1, 2)),
+                           block.data.reshape(3, 1, 2)])[None]
 
 
 def _W(*shape):
