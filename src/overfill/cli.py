@@ -11,6 +11,7 @@ import argparse
 import copy
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -115,6 +116,9 @@ def _validate_section(schema: dict, doc, pointer: str, errors: list) -> dict:
         if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
             errors.append(f"{ptr}: expected {' or '.join(t.__name__ for t in types)}, "
                           f"got {type(value).__name__}")
+            continue
+        if isinstance(value, float) and not math.isfinite(value):  # json reads NaN, Infinity
+            errors.append(f"{ptr}: expected a finite number, got {value}")
             continue
         out[key] = value
     return out

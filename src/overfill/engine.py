@@ -8,6 +8,7 @@ weights the two modes are bit-identical, not merely close.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -41,6 +42,8 @@ class GenParams:
     def validate(self) -> "GenParams":
         if self.max_new_tokens < 0:
             raise ConfigError(f"max_new_tokens must be >= 0, got {self.max_new_tokens}")
+        if not math.isfinite(self.temperature):
+            raise ConfigError(f"temperature must be finite, got {self.temperature}")
         if self.temperature < 0:
             raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
         return self

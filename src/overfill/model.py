@@ -54,8 +54,10 @@ class ModelConfig:
                 f"n_heads {self.n_heads} not divisible by n_kv_heads {self.n_kv_heads}")
         if self.head_dim % 2 != 0:
             raise ConfigError(f"head_dim must be even for rotary embedding, got {self.head_dim}")
-        if self.norm_eps < 0 or self.rope_theta <= 0:
-            raise ConfigError("norm_eps must be >= 0 and rope_theta > 0")
+        for name, v, ok, want in (("norm_eps", self.norm_eps, lambda v: v >= 0, ">= 0"),
+                                  ("rope_theta", self.rope_theta, lambda v: v > 0, "> 0")):
+            if not (isinstance(v, (int, float)) and math.isfinite(v) and ok(v)):
+                raise ConfigError(f"{name} must be a finite number {want}, got {v!r}")
         return self
 
     def to_dict(self) -> dict:
@@ -349,13 +351,14 @@ def run_block(w: Weights, tokens: Sequence[int], cache: KVCache,
         history, counts, w.token_embedding.dtype)
     kv_shape = kv_lead + (cfg.n_kv_heads, dh)
     try:
+        rot = tk.rope_factors(positions, dh, cfg.rope_theta, w.token_embedding.dtype)
         x = tk.embedding(w.token_embedding, ids)
         for li, lw in enumerate(w.layers):
             h = tk.rms_norm(x, lw.attn_norm_gamma, cfg.norm_eps)
             if tap is not None:
                 tap(li, "pre_attn", h.data)
-            q = tk.rope_rows(tk.matmul(h, lw.w_q), positions, dh, cfg.rope_theta)
-            k = tk.rope_rows(tk.matmul(h, lw.w_k), positions, dh, cfg.rope_theta)
+            q = tk.rope_rows(tk.matmul(h, lw.w_q), rot)
+            k = tk.rope_rows(tk.matmul(h, lw.w_k), rot)
             v = tk.matmul(h, lw.w_v)
 
             keys, values = cache.block_view(li, width)

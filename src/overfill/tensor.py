@@ -115,9 +115,13 @@ def _arr(x) -> np.ndarray:
 def _emit(data: np.ndarray, inputs: Sequence, backward: Callable) -> Tensor:
     out = Tensor.__new__(Tensor)  # hot path: skip ctor dtype inference
     out.data = np.asarray(data)
-    out.requires_grad = any(isinstance(x, Tensor) and x.requires_grad for x in inputs)
-    if out.requires_grad and _TAPE_STACK:
-        _TAPE_STACK[-1].nodes.append(_Node(out, tuple(inputs), backward))
+    out.requires_grad = False
+    for x in inputs:  # a plain loop: any(<genexpr>) costs more on every op
+        if isinstance(x, Tensor) and x.requires_grad:
+            out.requires_grad = True
+            if _TAPE_STACK:
+                _TAPE_STACK[-1].nodes.append(_Node(out, tuple(inputs), backward))
+            break
     return out
 
 
@@ -261,7 +265,11 @@ def rms_norm(x: ArrayLike, gamma: ArrayLike, eps: float) -> Tensor:
     if gv.ndim != 1 or xv.shape[-1] != gv.shape[0]:
         raise ShapeError(f"rms_norm: x {xv.shape} vs gamma {gv.shape}")
     d = xv.shape[-1]
-    ms = np.mean(xv * xv, axis=-1, keepdims=True)
+    # np.mean's sum and divide without its Python wrapper. Bit-identical:
+    # np.mean divides by an intp count, so in float64, and a float32 quotient
+    # rounded through float64 (53 >= 2*24 + 2 bits) is the one rounded directly.
+    ms = np.add.reduce(xv * xv, axis=-1, keepdims=True)
+    ms /= d
     inv = 1.0 / np.sqrt(ms + eps)
     out = xv * inv * gv
 
@@ -275,6 +283,10 @@ def rms_norm(x: ArrayLike, gamma: ArrayLike, eps: float) -> Tensor:
 
     return _emit(out, (x, gamma), backward)
 
+
+# The complex dtype whose real and imaginary parts are each float dtype.
+_COMPLEX = {np.dtype(np.float32): np.dtype(np.complex64),
+            np.dtype(np.float64): np.dtype(np.complex128)}
 
 # Rotation factors cos + i*sin per (head_dim, theta_base, dtype): row p holds
 # position p. Grown by doubling; the values depend only on the key.
@@ -294,31 +306,43 @@ def _rope_table(n: int, head_dim: int, theta_base: float, dtype) -> np.ndarray:
     return table
 
 
-def rope_rows(x: ArrayLike, positions: Sequence[int], head_dim: int, theta_base: float) -> Tensor:
-    """Rotary position rotation of consecutive pairs within each head segment.
-
-    x is [T, n_heads*head_dim] where row t belongs to absolute position
-    positions[t]; every head in a row is rotated by the same angles. Each
-    pair (x[2j], x[2j+1]) is rotated as the complex number x[2j] + i*x[2j+1].
-    """
-    xv = _arr(x)
+def rope_factors(positions: Sequence[int], head_dim: int, theta_base: float,
+                 dtype) -> np.ndarray:
+    """Rotation factors cos + i*sin of rope_rows for a block whose row t sits
+    at absolute position positions[t]: a complex [T, 1, head_dim/2] array
+    matching float dtype `dtype`, looked up once and shared by every head
+    and every layer of the block."""
     if head_dim % 2 != 0:
         raise ShapeError(f"rope: head_dim must be even, got {head_dim}")
-    if xv.ndim != 2 or xv.shape[1] % head_dim != 0:
-        raise ShapeError(f"rope: width {xv.shape} not a multiple of head_dim {head_dim}")
-    t, width = xv.shape
     pos = np.asarray(positions)
-    if pos.shape != (t,):
-        raise ShapeError(f"rope: {t} rows but {pos.shape} positions")
+    if pos.ndim != 1:
+        raise ShapeError(f"rope: positions must be 1-D, got {pos.shape}")
     bounds = pos.tolist()  # builtin min/max: numpy reductions cost more on a few rows
     if min(bounds, default=0) < 0:
         raise ShapeError(f"rope: positions must be >= 0, got {min(bounds)}")
-    table = _rope_table(max(bounds, default=-1) + 1, head_dim, theta_base, xv.dtype)
-    rot = table[pos][:, None]  # [T, 1, head_dim/2]
-    n_heads = width // head_dim
+    table = _rope_table(max(bounds, default=-1) + 1, head_dim, theta_base, np.dtype(dtype))
+    return table[pos][:, None]
+
+
+def rope_rows(x: ArrayLike, rot: np.ndarray) -> Tensor:
+    """Rotary position rotation of consecutive pairs within each head segment.
+
+    x is [T, n_heads*head_dim] and rot = rope_factors(positions, head_dim,
+    ...) for its T rows; every head in a row is rotated by the same angles.
+    Each pair (x[2j], x[2j+1]) is rotated as the complex number
+    x[2j] + i*x[2j+1].
+    """
+    xv = _arr(x)
+    half = rot.shape[-1]
+    if (xv.ndim != 2 or xv.shape[1] % (2 * half) != 0 or rot.shape != (xv.shape[0], 1, half)
+            or rot.dtype != _COMPLEX.get(xv.dtype)):
+        raise ShapeError(f"rope: {xv.dtype} rows {xv.shape} do not match {rot.dtype} "
+                         f"factors {rot.shape}")
+    t, width = xv.shape
+    n_heads = width // (2 * half)
 
     def turn(a, r):
-        ac = np.ascontiguousarray(a).view(r.dtype).reshape(t, n_heads, head_dim // 2)
+        ac = np.ascontiguousarray(a).view(r.dtype).reshape(t, n_heads, half)
         return (ac * r).view(a.dtype).reshape(t, width)
 
     def backward(g):

@@ -110,6 +110,15 @@ def test_config_file_unknown_key_rejected(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("field, bad", [("rope_theta", float("nan")),
+                                        ("norm_eps", float("inf")), ("norm_eps", "1e-5")])
+def test_config_file_non_finite_or_non_number_rejected(tmp_path, field, bad):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**DESK_CONFIG.to_dict(), field: bad}))  # NaN, Infinity
+    with pytest.raises(DataError, match=field):
+        load_config(path)
+
+
 @pytest.mark.parametrize("cut", ["magic", "header_len", "header", "middle", "short4"])
 def test_truncated_checkpoint_rejected(tmp_path, cut):
     w = init_model(TINY_CONFIG, seed=0)

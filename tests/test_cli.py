@@ -199,7 +199,9 @@ def test_truncated_checkpoint_exits_2(run_dir, capsys, keep):
 
 
 @pytest.mark.parametrize("gen, message", [({"max_new_tokens": -1}, "max_new_tokens"),
-                                          ({"temperature": -0.5}, "temperature")])
+                                          ({"temperature": -0.5}, "temperature"),
+                                          ({"temperature": float("nan")}, "temperature"),
+                                          ({"temperature": float("inf")}, "temperature")])
 def test_bad_generation_params_exit_2(run_dir, capsys, gen, message):
     (run_dir / "run.json").write_text(json.dumps({"gen": gen}))
     code = run_cli(run_dir, "generate", "--mode", "overfill", "--prompt", "hi")
@@ -215,7 +217,13 @@ def test_bad_generation_params_exit_2(run_dir, capsys, gen, message):
     ({"bench": {"gen_lens": ["a"]}}, (), "/bench/gen_lens: expected positive ints"),
     ({"train": {"kinds": ["copy", 5]}}, (), "/train/kinds: expected names from"),
     ({"train": {"base_lr": -0.01}}, (), "/train/base_lr: expected > 0, got -0.01"),
-], ids=["seed", "seed-flag", "max-new-tokens", "gen-lens", "kinds", "base-lr"])
+    ({"train": {"base_lr": float("inf")}}, (), "/train/base_lr: expected a finite number"),
+    ({"gen": {"temperature": float("nan")}}, (), "/gen/temperature: expected a finite number"),
+    ({"model": {"rope_theta": float("nan")}}, (), "/model/rope_theta: expected a finite"),
+    ({"bench": {"hardware": {"mem_bandwidth": float("-inf")}}}, (),
+     "/bench/hardware/mem_bandwidth: expected a finite number"),
+], ids=["seed", "seed-flag", "max-new-tokens", "gen-lens", "kinds", "base-lr",
+        "base-lr-inf", "temperature-nan", "rope-theta-nan", "hardware-inf"])
 def test_out_of_range_run_config_exits_2(run_dir, capsys, subcommand, doc, args, message):
     (run_dir / "run.json").write_text(json.dumps(doc))
     extra = ("--prompt", "hi") if subcommand == "generate" else ()

@@ -41,7 +41,9 @@ OP_CASES = {
     "silu": lambda a, dt: tk.silu(a["x"]),
     "softmax_rows": lambda a, dt: tk.softmax_rows(a["x"]),
     "rms_norm": lambda a, dt: tk.rms_norm(a["x"], a["b"], 1e-5),
-    "rope_rows": lambda a, dt: tk.rope_rows(a["x"], [0, 2, 5], 2, 100.0),
+    "rope_rows": lambda a, dt: tk.rope_rows(a["x"], tk.rope_factors([0, 2, 5], 2, 100.0, dt)),
+    # The factors carry no gradient; rotating by them must keep x's dtype.
+    "rope_factors": lambda a, dt: tk.rope_rows(a["x"], tk.rope_factors([1, 1, 4], 4, 10.0, dt)),
     "embedding": lambda a, dt: tk.embedding(a["x"], [2, 0, 2]),
     "slice_rows": lambda a, dt: tk.slice_rows(a["x"], 1, 3),
     "reshape": lambda a, dt: tk.reshape(a["x"], (4, 3)),

@@ -7,6 +7,7 @@ import pytest
 from overfill import engine
 from overfill.engine import (GenParams, baseline_generate, evaluate_exact_match,
                              generate, make_rng, overfill_generate, sample)
+from overfill.errors import ConfigError
 from overfill.model import (DESK_CONFIG, KVCache, decode_step, forward_prefill,
                             init_model)
 from overfill.pruner import (ImportanceScores, identity_selection, select_channels,
@@ -124,6 +125,12 @@ def test_stop_token_emitted_then_halts(full_w):
 def test_prompt_too_short_rejected(full_w, pruned_w):
     with pytest.raises(ValueError, match="at least 2"):
         overfill_generate(full_w, pruned_w, [5], GenParams(max_new_tokens=1))
+
+
+@pytest.mark.parametrize("temperature", [-0.5, math.nan, math.inf])
+def test_gen_params_reject_a_negative_or_non_finite_temperature(temperature):
+    with pytest.raises(ConfigError, match="temperature"):
+        GenParams(max_new_tokens=1, temperature=temperature).validate()
 
 
 def test_cache_geometry_mismatch_rejected(full_w):

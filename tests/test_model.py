@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from overfill import tensor as tk
 from overfill.errors import ConfigError
 from overfill.model import (DESK_CONFIG, KVCache, ModelConfig, Weights, cache_shape,
                             decode_step, forward_prefill, init_model, lm_logits,
@@ -27,6 +28,10 @@ def test_config_validation_rejects_bad_fields():
         dataclasses.replace(DESK_CONFIG, n_heads=3, n_kv_heads=2).validate()
     with pytest.raises(ConfigError):
         dataclasses.replace(DESK_CONFIG, head_dim=7).validate()
+    for field in ("norm_eps", "rope_theta"):
+        for bad in (float("nan"), float("inf"), "1e-5"):
+            with pytest.raises(ConfigError, match=field):
+                dataclasses.replace(DESK_CONFIG, **{field: bad}).validate()
 
 
 def test_config_roundtrip_rejects_unknown_keys():
@@ -293,6 +298,21 @@ def test_row_lens_must_split_the_block_over_the_cache_rows():
         with pytest.raises(ValueError, match="row lengths"):
             run_block(w, [1, 2, 3, 4, 5, 6], cache, row_lens=bad)
     assert cache.row_lens == [0, 0]
+
+
+@pytest.mark.parametrize("n_layers", [1, 4, 7])
+def test_run_block_looks_up_the_rope_factors_once(monkeypatch, n_layers):
+    lookups = []
+    table = tk._rope_table
+    monkeypatch.setattr(tk, "_rope_table", lambda *a: lookups.append(a) or table(*a))
+    cfg = dataclasses.replace(DESK_CONFIG, n_layers=n_layers)
+    w = init_model(cfg, seed=0)
+    cache = KVCache.for_config(cfg, rows=2)
+    run_block(w, [1, 2, 3, 4, 5], cache, row_lens=[3, 2])       # prefill, ragged rows
+    run_block(w, [6, 7], cache, row_lens=[1, 1])                # one decode step per row
+    one = KVCache.for_config(cfg)
+    run_block(w, [8], one)
+    assert len(lookups) == 3
 
 
 # ---------------------------------------------------------------------------

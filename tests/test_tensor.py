@@ -108,19 +108,35 @@ def test_rms_norm_dimension_mismatch():
         tk.rms_norm(np.ones((2, 4)), np.ones(5), eps=0.0)
 
 
+def test_rms_norm_equals_the_np_mean_formula_bit_for_bit():
+    for dt in (np.float32, np.float64):
+        for shape in ((1, 64), (7, 64), (5, 320)):
+            x = rng(3).normal(size=shape).astype(dt)
+            gamma = rng(4).normal(size=shape[1]).astype(dt)
+            ms = np.mean(x * x, axis=-1, keepdims=True)
+            expected = x * (1.0 / np.sqrt(ms + 1e-5)) * gamma
+            out = tk.rms_norm(x, gamma, 1e-5).numpy()
+            assert out.dtype == dt and np.array_equal(out, expected), (dt, shape)
+
+
 # ---------------------------------------------------------------------------
 # rope
 # ---------------------------------------------------------------------------
 
+def rope(x, positions, head_dim, theta_base):
+    """rope_rows of x with the factors for its positions and dtype."""
+    return tk.rope_rows(x, tk.rope_factors(positions, head_dim, theta_base, x.dtype))
+
+
 def test_rope_position_zero_is_identity():
     x = rng(7).normal(size=(3, 8)).astype(np.float32)
-    out = tk.rope_rows(x, [0, 0, 0], head_dim=8, theta_base=10000.0).numpy()
+    out = rope(x, [0, 0, 0], head_dim=8, theta_base=10000.0).numpy()
     np.testing.assert_array_equal(out, x)
 
 
 def test_rope_preserves_pair_norms():
     x = rng(8).normal(size=(4, 16))
-    out = tk.rope_rows(x, [9] * 4, head_dim=16, theta_base=10000.0).numpy()
+    out = rope(x, [9] * 4, head_dim=16, theta_base=10000.0).numpy()
     pairs_in = x.reshape(4, 8, 2)
     pairs_out = out.reshape(4, 8, 2)
     n_in = np.linalg.norm(pairs_in, axis=-1)
@@ -129,20 +145,35 @@ def test_rope_preserves_pair_norms():
 
 
 def test_rope_closed_form():
-    out = tk.rope_rows(np.array([[1.0, 0.0]]), [1], head_dim=2, theta_base=10000.0).numpy()
+    out = rope(np.array([[1.0, 0.0]]), [1], head_dim=2, theta_base=10000.0).numpy()
     np.testing.assert_allclose(out, [[math.cos(1.0), math.sin(1.0)]], atol=1e-6)
 
 
 def test_rope_rejects_odd_head_dim():
     with pytest.raises(ShapeError):
-        tk.rope_rows(np.ones((2, 6)), [0, 1], head_dim=3, theta_base=10000.0)
+        tk.rope_factors([0, 1], head_dim=3, theta_base=10000.0, dtype=np.float64)
+
+
+def test_rope_rejects_negative_positions():
+    with pytest.raises(ShapeError, match="positions must be >= 0"):
+        tk.rope_factors([0, -1, 2], head_dim=4, theta_base=10000.0, dtype=np.float32)
+
+
+def test_rope_rejects_factors_of_another_shape_or_dtype():
+    x = np.ones((3, 8), dtype=np.float32)
+    with pytest.raises(ShapeError):
+        tk.rope_rows(x, tk.rope_factors([0, 1], 4, 10000.0, np.float32))
+    with pytest.raises(ShapeError):
+        tk.rope_rows(x, tk.rope_factors([0, 1, 2], 4, 10000.0, np.float64))
+    with pytest.raises(ShapeError):
+        tk.rope_rows(x, tk.rope_factors([0, 1, 2], 6, 10000.0, np.float32))
 
 
 def test_rope_rows_matches_per_position_apply():
     x = rng(9).normal(size=(5, 8))
-    block = tk.rope_rows(x, np.arange(5), head_dim=4, theta_base=10000.0).numpy()
+    block = rope(x, np.arange(5), head_dim=4, theta_base=10000.0).numpy()
     for t in range(5):
-        single = tk.rope_rows(x[t:t + 1], [t], head_dim=4, theta_base=10000.0)
+        single = rope(x[t:t + 1], [t], head_dim=4, theta_base=10000.0)
         np.testing.assert_allclose(block[t:t + 1], single.numpy(), atol=1e-6)
 
 
@@ -235,7 +266,7 @@ FD_CASES = {
     "softmax_rows": lambda ts: tk.sum_all(tk.mul(tk.softmax_rows(ts[0]), _W(3, 4))),
     "rms_norm": lambda ts: tk.sum_all(tk.mul(tk.rms_norm(ts[0], ts[3], 1e-5), _W(3, 4))),
     "rope_rows": lambda ts: tk.sum_all(
-        tk.mul(tk.rope_rows(ts[0], [0, 2, 5], 2, 100.0), _W(3, 4))),
+        tk.mul(rope(ts[0], [0, 2, 5], 2, 100.0), _W(3, 4))),
     "embedding": lambda ts: tk.sum_all(tk.mul(tk.embedding(ts[0], [2, 0, 2]), _W(3, 4))),
     "slice_rows": lambda ts: tk.sum_all(tk.mul(tk.slice_rows(ts[0], 1, 3), _W(2, 4))),
     "reshape": lambda ts: tk.sum_all(tk.mul(tk.reshape(ts[0], (4, 3)), _W(4, 3))),
