@@ -1,6 +1,8 @@
-"""Single executable driving the pipeline: data generation, base training,
-calibration, pruning, two-model training, generation, evaluation, and the
-roofline cost model.
+"""Single executable driving the pipeline, in order: gen-data -> train-base ->
+calibrate -> prune -> train-pruned -> train-overfill -> eval (generate serves
+one prompt). Each checkpoint has one producer, and every size and ratio comes
+from the run config; --seed and --steps can replace its seed and step counts.
+param-count and roofline give the analytic cost model.
 
 Exit codes: 0 success, 1 usage error, 2 data or format error.
 """
@@ -25,7 +27,7 @@ from .corpus import (TASK_KINDS, ChatExample, Tokenizer, format_chat, gen_tasks,
 from .engine import MODES, GenParams, evaluate_exact_match, generate
 from .errors import ConfigError, DataError
 from .model import DESK_CONFIG, ModelConfig, init_model
-from .perfmodel import (REFERENCE_GEOMETRIES, HardwareSpec, param_count, reference_geometry,
+from .perfmodel import (HardwareSpec, param_count, reference_geometries, reference_geometry,
                         roofline_estimate, write_cost_csv)
 from .pruner import (ImportanceScores, PruneConfig, collect_activations, compute_pruned_dims,
                      score_channels, select_and_slice)
@@ -149,12 +151,16 @@ def load_run_config(path: str, seed: Optional[int] = None) -> dict:
                               ("eval_per_kind", t["eval_per_kind"] >= 1, ">= 1")):
             if not ok:
                 errors.append(f"/train/{key}: expected {want}, got {t[key]}")
-        if not all(k in TASK_KINDS for k in t["kinds"]):
-            errors.append(f"/train/kinds: expected names from {list(TASK_KINDS)}, "
-                          f"got {t['kinds']}")
+        kinds = t["kinds"]
+        if not all(k in TASK_KINDS for k in kinds):
+            errors.append(f"/train/kinds: expected names from {list(TASK_KINDS)}, got {kinds}")
+        elif not kinds or len(set(kinds)) < len(kinds):
+            errors.append(f"/train/kinds: expected a non-empty list without repeats, got {kinds}")
         lens = cfg["bench"]["gen_lens"]
         if not all(type(n) is int and n > 0 for n in lens):
             errors.append(f"/bench/gen_lens: expected positive ints, got {lens}")
+        elif not lens:
+            errors.append("/bench/gen_lens: expected a non-empty list")
     if errors:
         raise DataError("invalid run config: " + "; ".join(errors))
     return cfg
@@ -234,12 +240,8 @@ def _train(args, cfg: dict, prefill_w, w, tag: str, steps_key: str, data_seed: i
 
 
 def cmd_train_base(args, cfg: dict) -> int:
-    if args.init_checkpoint:
-        mcfg = load_config(_require(Path(args.init_config), "init model config"))
-        w = load_checkpoint(_require(Path(args.init_checkpoint), "init checkpoint"), mcfg)
-    else:
-        w = init_model(_model_config(cfg), cfg["seed"])
-    return _train(args, cfg, None, w, args.tag, "base_steps", cfg["seed"] + 1)
+    w = init_model(_model_config(cfg), cfg["seed"])
+    return _train(args, cfg, None, w, "base", "base_steps", cfg["seed"] + 1)
 
 
 def cmd_calibrate(args, cfg: dict) -> int:
@@ -273,10 +275,6 @@ def _is_score_list(value) -> bool:
 def cmd_prune(args, cfg: dict) -> int:
     run_dir = Path(args.out)
     w = _load_model(run_dir, "base")
-    if args.p_hidden is not None:
-        cfg["prune"]["p_hidden"] = args.p_hidden
-    if args.p_inter is not None:
-        cfg["prune"]["p_intermediate"] = args.p_inter
     pcfg = _prune_config(cfg)
     calib_path = _require(run_dir / "calibration.json", "calibration scores")
     doc = read_json_object(calib_path, "calibration file")
@@ -300,6 +298,13 @@ def cmd_prune(args, cfg: dict) -> int:
     return 0
 
 
+def cmd_train_pruned(args, cfg: dict) -> int:
+    # The pruned baseline: the same step count and batches as train-overfill,
+    # so the two decoders differ only in which model prefilled.
+    w = _load_model(Path(args.out), "pruned_init")
+    return _train(args, cfg, None, w, "pruned", "overfill_steps", cfg["seed"] + 2)
+
+
 def cmd_train_overfill(args, cfg: dict) -> int:
     run_dir = Path(args.out)
     full_w = _load_model(run_dir, "base")
@@ -312,7 +317,7 @@ def _decode_weights_for_mode(run_dir: Path, mode: str):
     if mode == "pruned":
         # The standalone pruned baseline only, never the overfill-trained decoder.
         _require(run_dir / "checkpoints" / "pruned.ovfl",
-                 "pruned baseline checkpoint (written by `train-base --tag pruned`)")
+                 "pruned baseline checkpoint (written by `train-pruned`)")
         w = _load_model(run_dir, "pruned")
         return w, w
     full = _load_model(run_dir, "base")
@@ -367,7 +372,7 @@ def cmd_roofline(args, cfg: dict) -> int:
         """None, a bundled reference geometry by name, or a model config file."""
         if spec is None:
             return None
-        return reference_geometry(spec) if spec in REFERENCE_GEOMETRIES else load_config(spec)
+        return reference_geometry(spec) if spec in reference_geometries() else load_config(spec)
 
     full_cfg = geometry(b["roofline_full_geometry"]) or _model_config(cfg)
     pruned_cfg = geometry(b["roofline_pruned_geometry"])
@@ -401,16 +406,8 @@ def build_parser() -> _Parser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         common(p)
-        if name == "train-base":
+        if name.startswith("train-"):
             p.add_argument("--steps", type=int, default=None)
-            p.add_argument("--tag", default="base", help="output checkpoint stem")
-            p.add_argument("--init-checkpoint", default=None)
-            p.add_argument("--init-config", default=None)
-        elif name == "train-overfill":
-            p.add_argument("--steps", type=int, default=None)
-        elif name == "prune":
-            p.add_argument("--p-hidden", type=float, default=None, dest="p_hidden")
-            p.add_argument("--p-inter", type=float, default=None, dest="p_inter")
         elif name == "generate":
             p.add_argument("--mode", choices=MODES, default="overfill")
             p.add_argument("--prompt", required=True)
@@ -426,6 +423,7 @@ COMMANDS = {
     "train-base": cmd_train_base,
     "calibrate": cmd_calibrate,
     "prune": cmd_prune,
+    "train-pruned": cmd_train_pruned,
     "train-overfill": cmd_train_overfill,
     "generate": cmd_generate,
     "eval": cmd_eval,
@@ -438,8 +436,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.subcommand == "train-base" and bool(args.init_checkpoint) != bool(args.init_config):
-            raise UsageError("--init-checkpoint and --init-config must be given together")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -47,7 +47,7 @@ class ModelConfig:
         # The fields without a default are exactly the integer dimensions.
         for f in fields(self):
             v = getattr(self, f.name)
-            if f.default is MISSING and (not isinstance(v, int) or v <= 0):
+            if f.default is MISSING and (type(v) is not int or v <= 0):
                 raise ConfigError(f"{f.name} must be a positive integer, got {v!r}")
         if self.n_heads % self.n_kv_heads != 0:
             raise ConfigError(
@@ -56,8 +56,10 @@ class ModelConfig:
             raise ConfigError(f"head_dim must be even for rotary embedding, got {self.head_dim}")
         for name, v, ok, want in (("norm_eps", self.norm_eps, lambda v: v >= 0, ">= 0"),
                                   ("rope_theta", self.rope_theta, lambda v: v > 0, "> 0")):
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and ok(v)):
+            if not (type(v) in (int, float) and math.isfinite(v) and ok(v)):
                 raise ConfigError(f"{name} must be a finite number {want}, got {v!r}")
+        if type(self.tied_embeddings) is not bool:
+            raise ConfigError(f"tied_embeddings must be a bool, got {self.tied_embeddings!r}")
         return self
 
     def to_dict(self) -> dict:

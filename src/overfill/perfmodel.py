@@ -112,16 +112,18 @@ def write_cost_csv(path, reports: Sequence[CostReport]) -> None:
                              f"{r.total_s:.8g}", r.decode_params])
 
 
+_REFDATA = resources.files("overfill") / "refdata"
+
+
+def reference_geometries() -> tuple[str, ...]:
+    """Short names of the bundled geometries; `<parent>_pNNN` is the parent
+    with the fraction 0.NNN of its hidden and FFN channels pruned away."""
+    return tuple(sorted(f.name.removesuffix(".json") for f in _REFDATA.iterdir()
+                        if f.name.endswith(".json")))
+
+
 def reference_geometry(name: str) -> ModelConfig:
     """Load a bundled released-model geometry by short name, e.g. 'llama32_3b'."""
-    try:
-        text = (resources.files("overfill") / "refdata" / f"{name}.json").read_text()
-    except FileNotFoundError as exc:
-        raise DataError(f"unknown reference geometry {name!r}") from exc
-    return ModelConfig.from_dict(json.loads(text))
-
-
-REFERENCE_GEOMETRIES = (
-    "llama32_3b", "llama32_3b_p070", "llama32_3b_p045", "llama32_3b_p025",
-    "llama31_8b", "llama31_8b_p043", "llama32_1b",
-)
+    if name not in reference_geometries():
+        raise DataError(f"unknown reference geometry {name!r}")
+    return ModelConfig.from_dict(json.loads((_REFDATA / f"{name}.json").read_text()))

@@ -111,7 +111,9 @@ def test_config_file_unknown_key_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("field, bad", [("rope_theta", float("nan")),
-                                        ("norm_eps", float("inf")), ("norm_eps", "1e-5")])
+                                        ("norm_eps", float("inf")), ("norm_eps", "1e-5"),
+                                        ("n_layers", True), ("rope_theta", False),
+                                        ("tied_embeddings", "no"), ("tied_embeddings", 0)])
 def test_config_file_non_finite_or_non_number_rejected(tmp_path, field, bad):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**DESK_CONFIG.to_dict(), field: bad}))  # NaN, Infinity

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -10,10 +11,12 @@ import pytest
 
 from overfill import cli
 from overfill.checkpoint import load_config, save_checkpoint, save_config
+from overfill.corpus import Tokenizer
 from overfill.errors import DataError
 from overfill.model import DESK_CONFIG, init_model
 from overfill.perfmodel import HardwareSpec, param_count, reference_geometry
 from overfill.pruner import PruneConfig
+from overfill.trainer import run_training
 
 # A geometry small enough that the whole pipeline runs in-process in seconds.
 TINY_RUN = {
@@ -56,7 +59,7 @@ def test_pruned_mode_without_pruned_checkpoint_is_a_data_error(run_dir, capsys):
     code = run_cli(run_dir, "generate", "--mode", "pruned", "--prompt", "hi")
     err = capsys.readouterr().err
     assert code == 2
-    assert "pruned.ovfl" in err and "train-base --tag pruned" in err
+    assert "pruned.ovfl" in err and "train-pruned" in err
     assert "Traceback" not in err
 
 
@@ -68,9 +71,7 @@ def test_pipeline_end_to_end(tmp_path, capsys):
         ("train-base",),
         ("calibrate",),
         ("prune",),
-        ("train-base", "--tag", "pruned",
-         "--init-checkpoint", str(ckpt / "pruned_init.ovfl"),
-         "--init-config", str(ckpt / "pruned_init.config.json")),
+        ("train-pruned",),
         ("train-overfill",),
         ("eval", "--mode", "full"),
         ("eval", "--mode", "pruned"),
@@ -97,6 +98,93 @@ def test_pipeline_end_to_end(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(tmp_path, "generate", "--prompt", "abc") == 0
     assert capsys.readouterr().out.endswith("\n")
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A tiny run directory taken through train-pruned and train-overfill."""
+    out = tmp_path_factory.mktemp("trained")
+    (out / "run.json").write_text(json.dumps(TINY_RUN))
+    for step in ("gen-data", "train-base", "calibrate", "prune", "train-pruned",
+                 "train-overfill"):
+        assert run_cli(out, step) == 0, step
+    return out
+
+
+def test_pruned_checkpoint_has_the_pruned_init_geometry(trained_run):
+    ckpt = trained_run / "checkpoints"
+    assert (load_config(ckpt / "pruned.config.json")
+            == load_config(ckpt / "pruned_init.config.json"))
+
+
+def test_pruned_and_overfill_logs_share_steps_and_tokens(trained_run):
+    def columns(stem):
+        rows = csv.DictReader(open(trained_run / f"logs_{stem}.csv", newline=""))
+        return [(r["step"], r["tokens_seen"]) for r in rows]
+    assert columns("pruned") == columns("overfill")
+    assert len(columns("pruned")) == TINY_RUN["train"]["overfill_steps"]
+
+
+def test_train_pruned_trains_pruned_init_alone_on_the_overfill_batches(trained_run):
+    cfg = cli.load_run_config(str(trained_run / "run.json"))
+    w = cli._load_model(trained_run, "pruned_init")
+    t = cfg["train"]
+    run_training(None, w, cli._train_examples(cfg, trained_run), Tokenizer(),
+                 steps=t["overfill_steps"], batch_size=t["batch_size"],
+                 max_seq_len=t["max_seq_len"], base_lr=t["base_lr"],
+                 warmup_ratio=t["warmup_ratio"], data_seed=cfg["seed"] + 2)
+    trained = cli._load_model(trained_run, "pruned")
+    assert trained.config == w.config and trained.checksum() == w.checksum()
+    assert trained.checksum() != cli._load_model(trained_run, "pruned_init").checksum()
+
+
+def test_train_pruned_before_prune_exits_2(tmp_path, capsys):
+    (tmp_path / "run.json").write_text(json.dumps(TINY_RUN))
+    assert run_cli(tmp_path, "gen-data") == 0
+    assert run_cli(tmp_path, "train-base") == 0
+    code = run_cli(tmp_path, "train-pruned")
+    err = capsys.readouterr().err
+    assert code == 2 and "pruned_init" in err and "Traceback" not in err
+    assert not (tmp_path / "checkpoints" / "pruned.ovfl").exists()
+
+
+@pytest.mark.parametrize("args", [("train-base", "--tag", "pruned"),
+                                  ("train-base", "--init-checkpoint", "x"),
+                                  ("prune", "--p-hidden", "0.7")],
+                         ids=["tag", "init-checkpoint", "p-hidden"])
+def test_removed_flags_are_usage_errors(run_dir, capsys, args):
+    before = sorted(run_dir.rglob("*"))
+    code = run_cli(run_dir, *args)
+    err = capsys.readouterr().err
+    assert code == 1 and "usage error: unrecognized arguments" in err
+    assert sorted(run_dir.rglob("*")) == before
+
+
+# Every option of every subcommand. A new option is a deliberate change to
+# the surface: add it here too.
+COMMON_OPTIONS = {"--config", "--out", "--seed"}
+OPTIONS = {
+    "gen-data": set(),
+    "train-base": {"--steps"},
+    "calibrate": set(),
+    "prune": set(),
+    "train-pruned": {"--steps"},
+    "train-overfill": {"--steps"},
+    "generate": {"--mode", "--prompt", "--system"},
+    "eval": {"--mode", "--kind"},
+    "param-count": set(),
+    "roofline": set(),
+}
+
+
+def test_subcommand_options_match_the_table():
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    found = {name: {opt for a in p._actions for opt in a.option_strings}
+             - {"-h", "--help"} - COMMON_OPTIONS
+             for name, p in sub.choices.items()}
+    assert found == OPTIONS
+    assert sum(map(len, OPTIONS.values())) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +255,11 @@ def test_run_config_accepts_ints_for_floats_and_none_where_optional(tmp_path):
     ({"bench": {"gen_lens": [32, 0]}}, "/bench/gen_lens: expected positive ints, got [32, 0]"),
     ({"bench": {"gen_lens": [True]}}, "/bench/gen_lens: expected positive ints, got [True]"),
     ({"bench": {"gen_lens": [8.0]}}, "/bench/gen_lens: expected positive ints, got [8.0]"),
+    ({"train": {"kinds": []}}, "/train/kinds: expected a non-empty list without repeats, "
+     "got []"),
+    ({"train": {"kinds": ["copy", "reverse", "copy"]}}, "/train/kinds: expected a non-empty "
+     "list without repeats, got ['copy', 'reverse', 'copy']"),
+    ({"bench": {"gen_lens": []}}, "/bench/gen_lens: expected a non-empty list"),
 ])
 def test_run_config_errors_name_the_json_pointer(tmp_path, doc, message):
     with pytest.raises(DataError) as info:
@@ -222,8 +315,12 @@ def test_bad_generation_params_exit_2(run_dir, capsys, gen, message):
     ({"model": {"rope_theta": float("nan")}}, (), "/model/rope_theta: expected a finite"),
     ({"bench": {"hardware": {"mem_bandwidth": float("-inf")}}}, (),
      "/bench/hardware/mem_bandwidth: expected a finite number"),
+    ({"train": {"kinds": []}}, (), "/train/kinds: expected a non-empty list"),
+    ({"train": {"kinds": ["copy", "copy"]}}, (), "/train/kinds: expected a non-empty list"),
+    ({"bench": {"gen_lens": []}}, (), "/bench/gen_lens: expected a non-empty list"),
 ], ids=["seed", "seed-flag", "max-new-tokens", "gen-lens", "kinds", "base-lr",
-        "base-lr-inf", "temperature-nan", "rope-theta-nan", "hardware-inf"])
+        "base-lr-inf", "temperature-nan", "rope-theta-nan", "hardware-inf",
+        "kinds-empty", "kinds-repeated", "gen-lens-empty"])
 def test_out_of_range_run_config_exits_2(run_dir, capsys, subcommand, doc, args, message):
     (run_dir / "run.json").write_text(json.dumps(doc))
     extra = ("--prompt", "hi") if subcommand == "generate" else ()
@@ -294,6 +391,21 @@ def test_param_count_on_a_json_file_that_is_not_an_object_exits_2(tmp_path, caps
     code = cli.main(["param-count", "--config", str(path)])
     err = capsys.readouterr().err
     assert code == 2 and "expected an object" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"n_layers": True, "tied_embeddings": "no"}, "n_layers must be a positive integer"),
+    ({"tied_embeddings": "no"}, "tied_embeddings must be a bool"),
+    ({"rope_theta": True}, "rope_theta must be a finite number"),
+], ids=["bool-dimension", "string-flag", "bool-float"])
+def test_param_count_on_a_model_config_of_the_wrong_json_types_exits_2(tmp_path, capsys,
+                                                                        bad, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**DESK_CONFIG.to_dict(), **bad}))
+    code = cli.main(["param-count", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and message in captured.err and captured.out == ""
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("train, args", [({"base_steps": 0}, ()),

@@ -3,9 +3,10 @@ import dataclasses
 
 import pytest
 
-from overfill.model import DESK_CONFIG
-from overfill.perfmodel import (CostReport, HardwareSpec, param_count, reference_geometry,
-                                roofline_estimate, write_cost_csv)
+from overfill.errors import DataError
+from overfill.model import DESK_CONFIG, check_handoff
+from overfill.perfmodel import (CostReport, HardwareSpec, param_count, reference_geometries,
+                                reference_geometry, roofline_estimate, write_cost_csv)
 
 from helpers import TINY_CONFIG
 
@@ -23,6 +24,25 @@ HW = HardwareSpec(peak_flops=1e12, mem_bandwidth=1e11, bytes_per_param=4)
 ])
 def test_param_count_known_values(cfg, count):
     assert param_count(cfg) == count
+
+
+@pytest.mark.parametrize("name", reference_geometries())
+def test_every_reference_geometry_loads_and_each_pruned_one_fits_its_parent(name):
+    cfg = reference_geometry(name)
+    parent, _, ratio = name.rpartition("_p")
+    if parent:
+        assert ratio.isdigit() and parent in reference_geometries()
+        check_handoff(reference_geometry(parent), cfg)
+        assert param_count(cfg) < param_count(reference_geometry(parent))
+
+
+def test_reference_geometries_include_the_papers_pairings():
+    # 3B-to-1B and 8B-to-3B: each pruned decoder near the smaller released model.
+    assert len(reference_geometries()) == 7
+    assert param_count(reference_geometry("llama32_3b_p045")) == 1_243_288_101
+    assert param_count(reference_geometry("llama31_8b_p043")) == 3_194_482_782
+    with pytest.raises(DataError, match="unknown reference geometry"):
+        reference_geometry("llama32_3b_p050")
 
 
 @pytest.mark.parametrize("mode, pre, dec", [("full", TINY_CONFIG, TINY_CONFIG),
