@@ -1,8 +1,8 @@
 """Single executable driving the pipeline, in order: gen-data -> train-base ->
-calibrate -> prune -> train-pruned -> train-overfill -> eval (generate serves
-one prompt). Each checkpoint has one producer, and every size and ratio comes
-from the run config; --seed and --steps can replace its seed and step counts.
-param-count and roofline give the analytic cost model.
+prune -> train-pruned -> train-overfill -> eval (generate serves one prompt).
+Each checkpoint has one producer, and every size and ratio comes from the run
+config; --seed and --steps can replace its seed and step counts. param-count
+and roofline give the analytic cost model.
 
 Exit codes: 0 success, 1 usage error, 2 data or format error.
 """
@@ -29,8 +29,7 @@ from .errors import ConfigError, DataError
 from .model import DESK_CONFIG, ModelConfig, init_model
 from .perfmodel import (HardwareSpec, param_count, reference_geometries, reference_geometry,
                         roofline_estimate, write_cost_csv)
-from .pruner import (ImportanceScores, PruneConfig, collect_activations, compute_pruned_dims,
-                     score_channels, select_and_slice)
+from .pruner import PruneConfig, compute_pruned_dims, prune_pipeline
 from .trainer import run_training, write_training_log
 
 EVAL_SEED_OFFSET = 104729  # keeps held-out example streams away from training ones
@@ -136,10 +135,14 @@ def load_run_config(path: str, seed: Optional[int] = None) -> dict:
     if not errors:
         if cfg["seed"] < 0:
             errors.append(f"/seed: expected >= 0, got {cfg['seed']}")
-        try:
-            GenParams(**cfg["gen"]).validate()
-        except ConfigError as exc:
-            errors.append(f"/gen: {exc}")
+        for ptr, section, spec in (("/gen", cfg["gen"], GenParams),
+                                   ("/model", cfg["model"], ModelConfig),
+                                   ("/prune", cfg["prune"], PruneConfig),
+                                   ("/bench/hardware", cfg["bench"]["hardware"], HardwareSpec)):
+            try:
+                spec(**section).validate()
+            except ConfigError as exc:
+                errors.append(f"{ptr}: {exc}")
         # The step counts and batch_size are checked by run_training: --steps
         # can replace a step count, and gen-data never reads them.
         t = cfg["train"]
@@ -244,52 +247,15 @@ def cmd_train_base(args, cfg: dict) -> int:
     return _train(args, cfg, None, w, "base", "base_steps", cfg["seed"] + 1)
 
 
-def cmd_calibrate(args, cfg: dict) -> int:
-    run_dir = Path(args.out)
-    w = _load_model(run_dir, "base")
-    pcfg = _prune_config(cfg)
-    examples = _train_examples(cfg, run_dir)
-    batches = pack_calibration_batches(examples, Tokenizer(), pcfg.calib_batches,
-                                       pcfg.calib_rows, pcfg.calib_seq_len)
-    scores = score_channels(collect_activations(w, batches))
-    doc = {
-        "hidden_scores": [float(x) for x in scores.hidden_scores],
-        "inter_scores": [[float(x) for x in s] for s in scores.inter_scores],
-        "provenance": {"calib_seed": cfg["seed"],
-                       "calib_batches": pcfg.calib_batches,
-                       "calib_rows": pcfg.calib_rows,
-                       "calib_seq_len": pcfg.calib_seq_len},
-    }
-    out = run_dir / "calibration.json"
-    out.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-    print(f"calibrate: scored {len(doc['hidden_scores'])} hidden channels -> {out.name}")
-    return 0
-
-
-def _is_score_list(value) -> bool:
-    """A JSON list of finite numbers that fit a float; bools do not count."""
-    return isinstance(value, list) and all(
-        type(x) in (int, float) and abs(x) <= sys.float_info.max for x in value)
-
-
 def cmd_prune(args, cfg: dict) -> int:
     run_dir = Path(args.out)
     w = _load_model(run_dir, "base")
     pcfg = _prune_config(cfg)
-    calib_path = _require(run_dir / "calibration.json", "calibration scores")
-    doc = read_json_object(calib_path, "calibration file")
-    hidden, inter = doc.get("hidden_scores"), doc.get("inter_scores")
-    if not _is_score_list(hidden):
-        raise DataError(f"{calib_path}: hidden_scores must be a list of finite numbers")
-    if not (isinstance(inter, list) and all(map(_is_score_list, inter))):
-        raise DataError(f"{calib_path}: inter_scores must be a list of lists of finite numbers")
-    scores = ImportanceScores(hidden_scores=np.asarray(hidden, dtype=np.float64),
-                              inter_scores=[np.asarray(s, dtype=np.float64) for s in inter])
-    provenance = doc.get("provenance", {})
-    if not isinstance(provenance, dict):
-        raise DataError(f"{calib_path}: provenance must be an object")
-
-    pruned, pruned_cfg, sel = select_and_slice(w, scores, pcfg, provenance)
+    batches = pack_calibration_batches(_train_examples(cfg, run_dir), Tokenizer(),
+                                       pcfg.calib_batches, pcfg.calib_rows, pcfg.calib_seq_len)
+    provenance = {"calib_seed": cfg["seed"], "calib_batches": pcfg.calib_batches,
+                  "calib_rows": pcfg.calib_rows, "calib_seq_len": pcfg.calib_seq_len}
+    pruned, pruned_cfg, sel = prune_pipeline(w, batches, pcfg, provenance)
     sel.save(run_dir / "selection.json")
     _save_model(run_dir, "pruned_init", pruned)
     print(f"prune: kept {pruned_cfg.hidden_dim}/{w.config.hidden_dim} hidden, "
@@ -357,8 +323,8 @@ def cmd_eval(args, cfg: dict) -> int:
 def cmd_param_count(args, cfg_unused) -> int:
     """Parameter count of a model config file or of a run config's model."""
     doc = read_json_object(args.config, "config")
-    if "model" in doc and "vocab_size" not in doc:
-        doc = load_run_config(args.config)["model"]
+    if "vocab_size" not in doc:
+        doc = load_run_config(args.config, args.seed)["model"]
     print(param_count(ModelConfig.from_dict(doc)))
     return 0
 
@@ -421,7 +387,6 @@ def build_parser() -> _Parser:
 COMMANDS = {
     "gen-data": cmd_gen_data,
     "train-base": cmd_train_base,
-    "calibrate": cmd_calibrate,
     "prune": cmd_prune,
     "train-pruned": cmd_train_pruned,
     "train-overfill": cmd_train_overfill,

@@ -213,26 +213,15 @@ def slice_model(w: Weights, sel: ChannelSelection,
     return Weights.build(pruned_cfg, take), pruned_cfg
 
 
-def select_and_slice(w: Weights, scores: ImportanceScores, cfg: PruneConfig,
-                     provenance: Optional[dict] = None
-                     ) -> tuple[Weights, ModelConfig, ChannelSelection]:
-    """Select the top channels for the configured widths and slice them out."""
-    d_kept, i_kept = compute_pruned_dims(
-        w.config.hidden_dim, w.config.intermediate_dim, cfg)
-    sel = select_channels(scores, d_kept, i_kept)
-    sel.provenance = dict(provenance or {})
-    sel.provenance.update({"p_hidden": cfg.p_hidden,
-                           "p_intermediate": cfg.p_intermediate})
-    pruned, pruned_cfg = slice_model(w, sel, w.config)
-    return pruned, pruned_cfg, sel
-
-
 def prune_pipeline(w: Weights, calib: Sequence[np.ndarray], cfg: PruneConfig,
                    provenance: Optional[dict] = None
                    ) -> tuple[Weights, ModelConfig, ChannelSelection]:
     """Calibrate, score, select, slice: the whole path from full weights to
     a cache-compatible pruned model."""
     # Reject an impossible width before the calibration pass, not after it.
-    compute_pruned_dims(w.config.hidden_dim, w.config.intermediate_dim, cfg)
-    scores = score_channels(collect_activations(w, calib))
-    return select_and_slice(w, scores, cfg, provenance)
+    d_kept, i_kept = compute_pruned_dims(w.config.hidden_dim, w.config.intermediate_dim, cfg)
+    sel = select_channels(score_channels(collect_activations(w, calib)), d_kept, i_kept)
+    sel.provenance = {**(provenance or {}),
+                      "p_hidden": cfg.p_hidden, "p_intermediate": cfg.p_intermediate}
+    pruned, pruned_cfg = slice_model(w, sel, w.config)
+    return pruned, pruned_cfg, sel

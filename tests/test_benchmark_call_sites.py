@@ -1,6 +1,8 @@
-"""The traced benchmark run wraps overfill functions by name; every name it
-patches must exist, or that run breaks while the rest of the suite passes."""
+"""The benchmark imports overfill names and its traced run wraps overfill
+functions by name; every such name must exist, or the benchmark breaks while
+the rest of the suite passes."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -13,7 +15,8 @@ from overfill.model import init_model
 
 from helpers import TINY_CONFIG
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _load_spans():
@@ -28,6 +31,36 @@ def test_every_patched_call_site_exists():
     assert table
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, _, _ in table if not hasattr(owner, attr)]
+    assert missing == []
+
+
+def _overfill_names(tree):
+    """(module, name) for every `from overfill... import name` and every
+    `alias.name` read through an `import overfill... as alias` (or a plain
+    `import overfill`) in a parsed file."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "overfill":
+            yield from ((node.module, a.name) for a in node.names)
+        elif isinstance(node, ast.Import):
+            aliases.update({a.asname or a.name: a.name for a in node.names
+                            if a.asname and a.name.startswith("overfill.")
+                            or a.name == "overfill"})
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            yield aliases[node.value.id], node.attr
+
+
+def test_every_overfill_name_the_benchmark_reads_exists():
+    checked, missing = set(), []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for module, name in _overfill_names(ast.parse(path.read_text(), str(path))):
+            checked.add(f"{module}.{name}")
+            if not hasattr(importlib.import_module(module), name):
+                missing.append(f"{path.name}: {module}.{name}")
+    assert {"overfill.pruner.prune_pipeline", "overfill.pruner.collect_activations",
+            "overfill.engine.overfill_generate"} <= checked
     assert missing == []
 
 

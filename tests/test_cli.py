@@ -11,11 +11,11 @@ import pytest
 
 from overfill import cli
 from overfill.checkpoint import load_config, save_checkpoint, save_config
-from overfill.corpus import Tokenizer
+from overfill.corpus import Tokenizer, pack_calibration_batches
 from overfill.errors import DataError
 from overfill.model import DESK_CONFIG, init_model
 from overfill.perfmodel import HardwareSpec, param_count, reference_geometry
-from overfill.pruner import PruneConfig
+from overfill.pruner import PruneConfig, prune_pipeline
 from overfill.trainer import run_training
 
 # A geometry small enough that the whole pipeline runs in-process in seconds.
@@ -33,7 +33,7 @@ TINY_RUN = {
 PIPELINE_ARTEFACTS = (
     ["data/train_copy.jsonl", "data/eval_copy.jsonl",
      "data/train_kvlookup.jsonl", "data/eval_kvlookup.jsonl",
-     "calibration.json", "selection.json",
+     "selection.json",
      "logs_base.csv", "logs_pruned.csv", "logs_overfill.csv",
      "eval_full.json", "eval_pruned.json", "eval_overfill.json"]
     + [f"checkpoints/{stem}.{ext}" for stem in ("base", "pruned_init", "pruned", "overfill")
@@ -69,7 +69,6 @@ def test_pipeline_end_to_end(tmp_path, capsys):
     steps = [
         ("gen-data",),
         ("train-base",),
-        ("calibrate",),
         ("prune",),
         ("train-pruned",),
         ("train-overfill",),
@@ -105,8 +104,7 @@ def trained_run(tmp_path_factory):
     """A tiny run directory taken through train-pruned and train-overfill."""
     out = tmp_path_factory.mktemp("trained")
     (out / "run.json").write_text(json.dumps(TINY_RUN))
-    for step in ("gen-data", "train-base", "calibrate", "prune", "train-pruned",
-                 "train-overfill"):
+    for step in ("gen-data", "train-base", "prune", "train-pruned", "train-overfill"):
         assert run_cli(out, step) == 0, step
     return out
 
@@ -115,6 +113,23 @@ def test_pruned_checkpoint_has_the_pruned_init_geometry(trained_run):
     ckpt = trained_run / "checkpoints"
     assert (load_config(ckpt / "pruned.config.json")
             == load_config(ckpt / "pruned_init.config.json"))
+
+
+def test_prune_writes_what_prune_pipeline_returns(trained_run, tmp_path):
+    cfg = cli.load_run_config(str(trained_run / "run.json"))
+    pcfg = PruneConfig(**cfg["prune"])
+    batches = pack_calibration_batches(cli._train_examples(cfg, trained_run), Tokenizer(),
+                                       pcfg.calib_batches, pcfg.calib_rows, pcfg.calib_seq_len)
+    provenance = {"calib_seed": cfg["seed"], "calib_batches": pcfg.calib_batches,
+                  "calib_rows": pcfg.calib_rows, "calib_seq_len": pcfg.calib_seq_len}
+    pruned, _, sel = prune_pipeline(cli._load_model(trained_run, "base"), batches, pcfg,
+                                    provenance)
+    sel.save(tmp_path / "selection.json")
+    save_checkpoint(tmp_path / "pruned_init.ovfl", pruned)
+    assert ((trained_run / "selection.json").read_bytes()
+            == (tmp_path / "selection.json").read_bytes())
+    assert ((trained_run / "checkpoints" / "pruned_init.ovfl").read_bytes()
+            == (tmp_path / "pruned_init.ovfl").read_bytes())
 
 
 def test_pruned_and_overfill_logs_share_steps_and_tokens(trained_run):
@@ -166,7 +181,6 @@ COMMON_OPTIONS = {"--config", "--out", "--seed"}
 OPTIONS = {
     "gen-data": set(),
     "train-base": {"--steps"},
-    "calibrate": set(),
     "prune": set(),
     "train-pruned": {"--steps"},
     "train-overfill": {"--steps"},
@@ -318,9 +332,15 @@ def test_bad_generation_params_exit_2(run_dir, capsys, gen, message):
     ({"train": {"kinds": []}}, (), "/train/kinds: expected a non-empty list"),
     ({"train": {"kinds": ["copy", "copy"]}}, (), "/train/kinds: expected a non-empty list"),
     ({"bench": {"gen_lens": []}}, (), "/bench/gen_lens: expected a non-empty list"),
+    ({"prune": {"p_hidden": 2}}, (), "/prune: p_hidden must be in [0, 1), got 2"),
+    ({"model": {"n_heads": 3}}, (), "/model: n_heads 3 not divisible by n_kv_heads 2"),
+    ({"prune": {"calib_rows": 0}}, (), "/prune: calibration dimensions must be positive"),
+    ({"bench": {"hardware": {"peak_flops": 0}}}, (),
+     "/bench/hardware: hardware spec values must be positive"),
 ], ids=["seed", "seed-flag", "max-new-tokens", "gen-lens", "kinds", "base-lr",
         "base-lr-inf", "temperature-nan", "rope-theta-nan", "hardware-inf",
-        "kinds-empty", "kinds-repeated", "gen-lens-empty"])
+        "kinds-empty", "kinds-repeated", "gen-lens-empty", "p-hidden", "n-heads",
+        "calib-rows", "peak-flops"])
 def test_out_of_range_run_config_exits_2(run_dir, capsys, subcommand, doc, args, message):
     (run_dir / "run.json").write_text(json.dumps(doc))
     extra = ("--prompt", "hi") if subcommand == "generate" else ()
@@ -331,8 +351,11 @@ def test_out_of_range_run_config_exits_2(run_dir, capsys, subcommand, doc, args,
 
 
 def test_bench_is_not_a_subcommand(run_dir, capsys):
-    assert run_cli(run_dir, "bench") == 1
-    assert "invalid choice: 'bench'" in capsys.readouterr().err
+    before = sorted(run_dir.rglob("*"))
+    for name in ("bench", "calibrate"):
+        assert run_cli(run_dir, name) == 1
+        assert f"invalid choice: '{name}'" in capsys.readouterr().err
+    assert sorted(run_dir.rglob("*")) == before
 
 
 @pytest.mark.parametrize("lines", [
@@ -408,6 +431,23 @@ def test_param_count_on_a_model_config_of_the_wrong_json_types_exits_2(tmp_path,
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("doc", [{}, {"seed": 1}], ids=["empty", "seed-only"])
+def test_param_count_reads_a_run_config_without_a_model_section(tmp_path, capsys, doc):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["param-count", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == f"{param_count(DESK_CONFIG)}\n" == "262976\n"
+
+
+def test_param_count_range_checks_the_seed_of_a_run_config(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text("{}")
+    code = cli.main(["param-count", "--config", str(path), "--seed", "-5"])
+    captured = capsys.readouterr()
+    assert code == 2 and "/seed: expected >= 0, got -5" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("train, args", [({"base_steps": 0}, ()),
                                          ({}, ("--steps", "-3")),
                                          ({}, ("--steps", "0")),
@@ -477,24 +517,3 @@ def test_roofline_writes_a_row_per_mode_and_length(tmp_path, full_spec, pruned_s
     assert [(r[0], r[2], r[7]) for r in rows[1:]] == [
         (mode, str(n), str(param_count(decoder[mode])))
         for mode in ("full", "pruned", "overfill") for n in (32, 64, 128)]
-
-
-@pytest.mark.parametrize("key, value", [
-    ("hidden_scores", "x"),
-    ("inter_scores", 5),
-    ("hidden_scores", [[1.0, 2.0], [3.0]]),
-    ("hidden_scores", [True] + [1.0] * (DESK_CONFIG.hidden_dim - 1)),
-    ("inter_scores", [[1.0] * DESK_CONFIG.intermediate_dim] * (DESK_CONFIG.n_layers - 1)
-     + [[float("nan")] + [1.0] * (DESK_CONFIG.intermediate_dim - 1)]),
-    ("provenance", 5),
-], ids=["string", "number", "ragged-list", "true-element", "nan-element", "provenance"])
-def test_calibration_scores_of_the_wrong_json_type_exit_2(run_dir, capsys, key, value):
-    doc = {"hidden_scores": [1.0] * DESK_CONFIG.hidden_dim,
-           "inter_scores": [[1.0] * DESK_CONFIG.intermediate_dim] * DESK_CONFIG.n_layers,
-           key: value}
-    (run_dir / "calibration.json").write_text(json.dumps(doc))
-    code = run_cli(run_dir, "prune")
-    err = capsys.readouterr().err
-    assert code == 2 and "calibration.json" in err and key in err
-    assert "Traceback" not in err
-    assert not (run_dir / "selection.json").exists()

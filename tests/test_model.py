@@ -102,8 +102,9 @@ def test_prefill_requires_empty_cache():
 
 def test_prefill_rejects_out_of_range_token():
     w = init_model(DESK_CONFIG, seed=0)
-    with pytest.raises(ValueError, match="out of range"):
-        forward_prefill(w, [0, DESK_CONFIG.vocab_size], KVCache.for_config(DESK_CONFIG))
+    for bad in (DESK_CONFIG.vocab_size, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            forward_prefill(w, [0, bad], KVCache.for_config(DESK_CONFIG))
 
 
 def test_incremental_decode_matches_batched_prefill():
