@@ -75,7 +75,7 @@ RUN_SCHEMA = {
         "base_steps": (int, 600),
         "overfill_steps": (int, 300),
         "checkpoint_every": (int, 0),
-        "kinds": (list, ["copy", "reverse", "modadd", "kvlookup"]),
+        "kinds": (list, list(TASK_KINDS)),
         "train_per_kind": (int, 2000),
         "eval_per_kind": (int, 100),
     },
@@ -127,7 +127,9 @@ def _validate_section(schema: dict, doc, pointer: str, errors: list) -> dict:
 
 def load_run_config(path: str, seed: Optional[int] = None) -> dict:
     """The run config with defaults filled in; `seed`, when given, replaces
-    the file's. Values are range-checked once their types are right."""
+    the file's. Values are range-checked once their types are right, and the
+    `model`, `prune`, `gen` and `bench/hardware` sections come back as the
+    ModelConfig, PruneConfig, GenParams and HardwareSpec built from them."""
     errors: list[str] = []
     cfg = _validate_section(RUN_SCHEMA, read_json_object(path, "run config"), "", errors)
     if seed is not None:
@@ -135,14 +137,21 @@ def load_run_config(path: str, seed: Optional[int] = None) -> dict:
     if not errors:
         if cfg["seed"] < 0:
             errors.append(f"/seed: expected >= 0, got {cfg['seed']}")
-        for ptr, section, spec in (("/gen", cfg["gen"], GenParams),
-                                   ("/model", cfg["model"], ModelConfig),
-                                   ("/prune", cfg["prune"], PruneConfig),
-                                   ("/bench/hardware", cfg["bench"]["hardware"], HardwareSpec)):
+        b = cfg["bench"]
+        for ptr, parent, key, spec in (("/gen", cfg, "gen", GenParams),
+                                       ("/model", cfg, "model", ModelConfig),
+                                       ("/prune", cfg, "prune", PruneConfig),
+                                       ("/bench/hardware", b, "hardware", HardwareSpec)):
             try:
-                spec(**section).validate()
+                parent[key] = spec(**parent[key])
             except ConfigError as exc:
                 errors.append(f"{ptr}: {exc}")
+        model, pcfg = cfg["model"], cfg["prune"]
+        if isinstance(model, ModelConfig) and isinstance(pcfg, PruneConfig):
+            try:
+                compute_pruned_dims(model.hidden_dim, model.intermediate_dim, pcfg)
+            except ConfigError as exc:
+                errors.append(f"/prune: {exc}")
         # The step counts and batch_size are checked by run_training: --steps
         # can replace a step count, and gen-data never reads them.
         t = cfg["train"]
@@ -159,7 +168,10 @@ def load_run_config(path: str, seed: Optional[int] = None) -> dict:
             errors.append(f"/train/kinds: expected names from {list(TASK_KINDS)}, got {kinds}")
         elif not kinds or len(set(kinds)) < len(kinds):
             errors.append(f"/train/kinds: expected a non-empty list without repeats, got {kinds}")
-        lens = cfg["bench"]["gen_lens"]
+        for key in ("prompt_len", "batch"):
+            if b[key] < 1:
+                errors.append(f"/bench/{key}: expected >= 1, got {b[key]}")
+        lens = b["gen_lens"]
         if not all(type(n) is int and n > 0 for n in lens):
             errors.append(f"/bench/gen_lens: expected positive ints, got {lens}")
         elif not lens:
@@ -167,14 +179,6 @@ def load_run_config(path: str, seed: Optional[int] = None) -> dict:
     if errors:
         raise DataError("invalid run config: " + "; ".join(errors))
     return cfg
-
-
-def _model_config(cfg: dict):
-    return ModelConfig.from_dict(cfg["model"])
-
-
-def _prune_config(cfg: dict):
-    return PruneConfig(**cfg["prune"]).validate()
 
 
 def _require(path: Path, what: str) -> Path:
@@ -243,14 +247,14 @@ def _train(args, cfg: dict, prefill_w, w, tag: str, steps_key: str, data_seed: i
 
 
 def cmd_train_base(args, cfg: dict) -> int:
-    w = init_model(_model_config(cfg), cfg["seed"])
+    w = init_model(cfg["model"], cfg["seed"])
     return _train(args, cfg, None, w, "base", "base_steps", cfg["seed"] + 1)
 
 
 def cmd_prune(args, cfg: dict) -> int:
     run_dir = Path(args.out)
     w = _load_model(run_dir, "base")
-    pcfg = _prune_config(cfg)
+    pcfg = cfg["prune"]
     batches = pack_calibration_batches(_train_examples(cfg, run_dir), Tokenizer(),
                                        pcfg.calib_batches, pcfg.calib_rows, pcfg.calib_seq_len)
     provenance = {"calib_seed": cfg["seed"], "calib_batches": pcfg.calib_batches,
@@ -294,9 +298,7 @@ def cmd_generate(args, cfg: dict) -> int:
     tok = Tokenizer()
     prefill_w, decode_w = _decode_weights_for_mode(Path(args.out), args.mode)
     ids, m = format_chat(ChatExample(args.system, args.prompt, "", "copy"), tok)
-    params = GenParams(max_new_tokens=cfg["gen"]["max_new_tokens"],
-                       temperature=cfg["gen"]["temperature"],
-                       seed=cfg["seed"], stop_token=tok.eos)
+    params = dataclasses.replace(cfg["gen"], seed=cfg["seed"], stop_token=tok.eos)
     out, _ = generate(prefill_w, decode_w, ids[:m], params)
     print(tok.detokenize(out))
     return 0
@@ -323,16 +325,15 @@ def cmd_eval(args, cfg: dict) -> int:
 def cmd_param_count(args, cfg_unused) -> int:
     """Parameter count of a model config file or of a run config's model."""
     doc = read_json_object(args.config, "config")
-    if "vocab_size" not in doc:
-        doc = load_run_config(args.config, args.seed)["model"]
-    print(param_count(ModelConfig.from_dict(doc)))
+    model = (ModelConfig.from_dict(doc) if "vocab_size" in doc
+             else load_run_config(args.config, args.seed)["model"])
+    print(param_count(model))
     return 0
 
 
 def cmd_roofline(args, cfg: dict) -> int:
     run_dir = Path(args.out)
     b = cfg["bench"]
-    hw = HardwareSpec(**b["hardware"]).validate()
 
     def geometry(spec):
         """None, a bundled reference geometry by name, or a model config file."""
@@ -340,16 +341,16 @@ def cmd_roofline(args, cfg: dict) -> int:
             return None
         return reference_geometry(spec) if spec in reference_geometries() else load_config(spec)
 
-    full_cfg = geometry(b["roofline_full_geometry"]) or _model_config(cfg)
+    full_cfg = geometry(b["roofline_full_geometry"]) or cfg["model"]
     pruned_cfg = geometry(b["roofline_pruned_geometry"])
     if pruned_cfg is None:
         d_kept, i_kept = compute_pruned_dims(full_cfg.hidden_dim, full_cfg.intermediate_dim,
-                                             _prune_config(cfg))
+                                             cfg["prune"])
         pruned_cfg = dataclasses.replace(full_cfg, hidden_dim=d_kept, intermediate_dim=i_kept)
     reports = []
     for mode in MODES:
         for n in b["gen_lens"]:
-            reports.append(roofline_estimate(hw, full_cfg, pruned_cfg,
+            reports.append(roofline_estimate(b["hardware"], full_cfg, pruned_cfg,
                                              b["prompt_len"], n, b["batch"], mode))
     write_cost_csv(run_dir / "roofline.csv", reports)
     print(f"roofline: wrote {len(reports)} rows to roofline.csv")

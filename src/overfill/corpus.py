@@ -182,8 +182,10 @@ def load_dataset(path) -> list[ChatExample]:
                 d = json.loads(line)
                 if not isinstance(d, dict):
                     raise DataError(f"{path}: malformed dataset line: expected an object")
-                examples.append(ChatExample(d["system"], d["user"],
-                                            d["assistant"], d["task_kind"]))
+                fields = [d["system"], d["user"], d["assistant"], d["task_kind"]]
+                if not all(isinstance(v, str) for v in fields):
+                    raise DataError(f"{path}: malformed dataset line: expected string fields")
+                examples.append(ChatExample(*fields))
         except (json.JSONDecodeError, KeyError) as exc:
             raise DataError(f"{path}: malformed dataset line: {exc}") from exc
     if len(examples) != meta["count"]:

@@ -39,14 +39,13 @@ class GenParams:
     seed: int = 0
     stop_token: Optional[int] = None
 
-    def validate(self) -> "GenParams":
+    def __post_init__(self):
         if self.max_new_tokens < 0:
             raise ConfigError(f"max_new_tokens must be >= 0, got {self.max_new_tokens}")
         if not math.isfinite(self.temperature):
             raise ConfigError(f"temperature must be finite, got {self.temperature}")
         if self.temperature < 0:
             raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
-        return self
 
 
 def sample(logits, temperature: float, rng: np.random.Generator) -> int:
@@ -80,7 +79,6 @@ def generate(prefill_w: Weights, decode_w: Weights, prompt: Sequence[int],
     hold prefill_w's keys and values, the rest decode_w's. Deterministic
     given the params seed.
     """
-    params.validate()
     if len(prompt) < 2:
         raise DataError(f"prompt must have at least 2 tokens, got {len(prompt)}")
     check_handoff(prefill_w.config, decode_w.config)

@@ -43,7 +43,7 @@ class ModelConfig:
     def kv_dim(self) -> int:
         return self.n_kv_heads * self.head_dim
 
-    def validate(self) -> "ModelConfig":
+    def __post_init__(self):
         # The fields without a default are exactly the integer dimensions.
         for f in fields(self):
             v = getattr(self, f.name)
@@ -60,7 +60,6 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be a finite number {want}, got {v!r}")
         if type(self.tied_embeddings) is not bool:
             raise ConfigError(f"tied_embeddings must be a bool, got {self.tied_embeddings!r}")
-        return self
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -73,7 +72,7 @@ class ModelConfig:
         missing = {f.name for f in fields(cls) if f.default is MISSING} - set(d)
         if missing:
             raise ConfigError(f"missing model config keys: {sorted(missing)}")
-        return cls(**d).validate()
+        return cls(**d)
 
 
 # Trains on CPU in minutes while exercising every mechanism.
@@ -266,7 +265,6 @@ def init_model(config: ModelConfig, seed: int, dtype=np.float32) -> Weights:
     other matrices std 0.02. Tensors are drawn in checkpoint order, so the
     same (config, seed) always produces bit-identical weights.
     """
-    config.validate()
     rng = np.random.default_rng(seed)
     std = 0.02
     std_out = 0.02 / math.sqrt(2 * config.n_layers)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .engine import _pick
 from .errors import ConfigError, DataError
-from .model import ModelConfig, cache_shape, tensor_shape, tensor_table
+from .model import ModelConfig, cache_shape, check_handoff, tensor_shape, tensor_table
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,9 @@ class HardwareSpec:
     mem_bandwidth: float = 2.039e12   # bytes/s
     bytes_per_param: int = 4          # f32
 
-    def validate(self) -> "HardwareSpec":
+    def __post_init__(self):
         if self.peak_flops <= 0 or self.mem_bandwidth <= 0 or self.bytes_per_param <= 0:
             raise ConfigError("hardware spec values must be positive")
-        return self
 
 
 @dataclass
@@ -51,7 +50,6 @@ class CostReport:
 
 def param_count(cfg: ModelConfig) -> int:
     """Learnable scalars of a model of this config: the sizes of its tensor table."""
-    cfg.validate()
     return sum(math.prod(tensor_shape(cfg, axes)) for _, axes in tensor_table(cfg))
 
 
@@ -65,9 +63,9 @@ def roofline_estimate(hw: HardwareSpec, full_cfg: ModelConfig,
     include_secondary adds KV-cache read traffic (at the mean history length)
     and attention score FLOPs as secondary terms.
     """
-    hw.validate()
     if prompt_len <= 0 or gen_len < 0 or batch <= 0:
         raise ConfigError("prompt_len and batch must be positive, gen_len >= 0")
+    check_handoff(full_cfg, pruned_cfg)
     pre_cfg, dec_cfg = _pick(full_cfg, pruned_cfg, mode)
     p_pre, p_dec = param_count(pre_cfg), param_count(dec_cfg)
 

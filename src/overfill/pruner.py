@@ -33,7 +33,7 @@ class PruneConfig:
     calib_seq_len: int = 128
     hardware_round_to: Optional[int] = None
 
-    def validate(self) -> "PruneConfig":
+    def __post_init__(self):
         for name in ("p_hidden", "p_intermediate"):
             v = getattr(self, name)
             if not (0.0 <= v < 1.0):
@@ -42,7 +42,6 @@ class PruneConfig:
             raise ConfigError("calibration dimensions must be positive")
         if self.hardware_round_to is not None and self.hardware_round_to <= 0:
             raise ConfigError("hardware_round_to must be positive when set")
-        return self
 
 
 @dataclass
@@ -113,7 +112,6 @@ def compute_pruned_dims(hidden_dim: int, intermediate_dim: int,
                         cfg: PruneConfig) -> tuple[int, int]:
     """Retained widths: floor((1 - ratio) * dim), optionally rounded down
     to a hardware-friendly multiple."""
-    cfg.validate()
     d_kept = math.floor((1.0 - cfg.p_hidden) * hidden_dim)
     i_kept = math.floor((1.0 - cfg.p_intermediate) * intermediate_dim)
     if cfg.hardware_round_to:

@@ -12,7 +12,8 @@ import pytest
 from overfill import cli
 from overfill.checkpoint import load_config, save_checkpoint, save_config
 from overfill.corpus import Tokenizer, pack_calibration_batches
-from overfill.errors import DataError
+from overfill.engine import GenParams
+from overfill.errors import ConfigError, DataError
 from overfill.model import DESK_CONFIG, init_model
 from overfill.perfmodel import HardwareSpec, param_count, reference_geometry
 from overfill.pruner import PruneConfig, prune_pipeline
@@ -117,7 +118,7 @@ def test_pruned_checkpoint_has_the_pruned_init_geometry(trained_run):
 
 def test_prune_writes_what_prune_pipeline_returns(trained_run, tmp_path):
     cfg = cli.load_run_config(str(trained_run / "run.json"))
-    pcfg = PruneConfig(**cfg["prune"])
+    pcfg = cfg["prune"]
     batches = pack_calibration_batches(cli._train_examples(cfg, trained_run), Tokenizer(),
                                        pcfg.calib_batches, pcfg.calib_rows, pcfg.calib_seq_len)
     provenance = {"calib_seed": cfg["seed"], "calib_batches": pcfg.calib_batches,
@@ -205,6 +206,48 @@ def test_subcommand_options_match_the_table():
 # run config
 # ---------------------------------------------------------------------------
 
+# Every leaf key of the run config, in schema order: a new knob is added on purpose.
+RUN_CONFIG_KEYS = """
+/seed
+/model/vocab_size /model/hidden_dim /model/n_layers /model/n_heads /model/n_kv_heads
+/model/head_dim /model/intermediate_dim /model/norm_eps /model/rope_theta
+/model/tied_embeddings
+/prune/p_hidden /prune/p_intermediate /prune/calib_batches /prune/calib_rows
+/prune/calib_seq_len /prune/hardware_round_to
+/train/base_lr /train/warmup_ratio /train/batch_size /train/max_seq_len /train/base_steps
+/train/overfill_steps /train/checkpoint_every /train/kinds /train/train_per_kind
+/train/eval_per_kind
+/gen/max_new_tokens /gen/temperature
+/bench/prompt_len /bench/gen_lens /bench/batch /bench/hardware/peak_flops
+/bench/hardware/mem_bandwidth /bench/hardware/bytes_per_param
+/bench/roofline_full_geometry /bench/roofline_pruned_geometry
+""".split()
+
+
+def _leaf_keys(schema, pointer=""):
+    for key, rule in schema.items():
+        if isinstance(rule, dict):
+            yield from _leaf_keys(rule, f"{pointer}/{key}")
+        else:
+            yield f"{pointer}/{key}"
+
+
+def test_run_config_keys_match_the_table():
+    assert list(_leaf_keys(cli.RUN_SCHEMA)) == RUN_CONFIG_KEYS
+    assert len(RUN_CONFIG_KEYS) == 37
+
+
+@pytest.mark.parametrize("make", [
+    lambda: dataclasses.replace(DESK_CONFIG, n_layers=0),
+    lambda: PruneConfig(1.0, 0.0),
+    lambda: GenParams(max_new_tokens=-1),
+    lambda: HardwareSpec(peak_flops=0),
+], ids=["model", "prune", "gen", "hardware"])
+def test_config_objects_cannot_be_made_invalid(make):
+    with pytest.raises(ConfigError):
+        make()
+
+
 def load(tmp_path, doc):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(doc))
@@ -213,21 +256,21 @@ def load(tmp_path, doc):
 
 def test_run_config_defaults_match_the_config_classes(tmp_path):
     cfg = load(tmp_path, {})
-    assert cfg["model"] == dataclasses.asdict(DESK_CONFIG)
-    assert cfg["prune"] == dataclasses.asdict(PruneConfig(0.5, 0.5))
-    assert cfg["bench"]["hardware"] == dataclasses.asdict(HardwareSpec())
-    assert cfg["seed"] == 0 and cfg["gen"] == {"max_new_tokens": 32, "temperature": 0.0}
+    assert cfg["model"] == DESK_CONFIG
+    assert cfg["prune"] == PruneConfig(0.5, 0.5)
+    assert cfg["bench"]["hardware"] == HardwareSpec()
+    assert cfg["seed"] == 0 and cfg["gen"] == GenParams(max_new_tokens=32)
 
 
 def test_run_config_accepts_ints_for_floats_and_none_where_optional(tmp_path):
     cfg = load(tmp_path, {"model": {"rope_theta": 500000},
                           "prune": {"p_hidden": 0, "hardware_round_to": 8},
                           "bench": {"hardware": {"peak_flops": 10}}})
-    assert cfg["model"]["rope_theta"] == 500000
-    assert cfg["prune"]["p_hidden"] == 0 and cfg["prune"]["hardware_round_to"] == 8
-    assert cfg["bench"]["hardware"]["peak_flops"] == 10
-    assert load(tmp_path, {"prune": {"hardware_round_to": None}})["prune"][
-        "hardware_round_to"] is None
+    assert cfg["model"].rope_theta == 500000
+    assert cfg["prune"].p_hidden == 0 and cfg["prune"].hardware_round_to == 8
+    assert cfg["bench"]["hardware"].peak_flops == 10
+    cfg = load(tmp_path, {"prune": {"hardware_round_to": None}})
+    assert cfg["prune"].hardware_round_to is None
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -337,10 +380,14 @@ def test_bad_generation_params_exit_2(run_dir, capsys, gen, message):
     ({"prune": {"calib_rows": 0}}, (), "/prune: calibration dimensions must be positive"),
     ({"bench": {"hardware": {"peak_flops": 0}}}, (),
      "/bench/hardware: hardware spec values must be positive"),
+    ({"bench": {"prompt_len": 0}}, (), "/bench/prompt_len: expected >= 1, got 0"),
+    ({"bench": {"batch": 0}}, (), "/bench/batch: expected >= 1, got 0"),
+    ({"prune": {"hardware_round_to": 1024}}, (), "/prune: pruned dims must be >= 1"),
+    ({"prune": {"p_hidden": 0.99}}, (), "/prune: pruned dims must be >= 1"),
 ], ids=["seed", "seed-flag", "max-new-tokens", "gen-lens", "kinds", "base-lr",
         "base-lr-inf", "temperature-nan", "rope-theta-nan", "hardware-inf",
         "kinds-empty", "kinds-repeated", "gen-lens-empty", "p-hidden", "n-heads",
-        "calib-rows", "peak-flops"])
+        "calib-rows", "peak-flops", "prompt-len", "batch", "round-to", "p-hidden-empty"])
 def test_out_of_range_run_config_exits_2(run_dir, capsys, subcommand, doc, args, message):
     (run_dir / "run.json").write_text(json.dumps(doc))
     extra = ("--prompt", "hi") if subcommand == "generate" else ()
@@ -361,7 +408,9 @@ def test_bench_is_not_a_subcommand(run_dir, capsys):
 @pytest.mark.parametrize("lines", [
     ["5"],
     [json.dumps({"kind": "copy", "seed": 0, "count": 1}), "[1, 2]"],
-], ids=["header", "example"])
+    [json.dumps({"kind": "copy", "seed": 0, "count": 1}),
+     json.dumps({"system": 5, "user": "a", "assistant": "a", "task_kind": "copy"})],
+], ids=["header", "example", "field-type"])
 def test_dataset_line_that_is_not_an_object_exits_2(run_dir, capsys, lines):
     (run_dir / "data").mkdir()
     (run_dir / "data" / "eval_copy.jsonl").write_text("\n".join(lines) + "\n")
@@ -498,8 +547,8 @@ def _halved(cfg):
 
 @pytest.mark.parametrize("full_spec, pruned_spec, full, pruned", [
     (None, None, DESK_CONFIG, _halved(DESK_CONFIG)),
-    ("llama32_3b", "llama32_1b", reference_geometry("llama32_3b"),
-     reference_geometry("llama32_1b")),
+    ("llama32_3b", "llama32_3b_p045", reference_geometry("llama32_3b"),
+     reference_geometry("llama32_3b_p045")),
     ("file", None, TWO_LAYER, _halved(TWO_LAYER)),
 ], ids=["derived", "reference", "config-file"])
 def test_roofline_writes_a_row_per_mode_and_length(tmp_path, full_spec, pruned_spec,
@@ -517,3 +566,16 @@ def test_roofline_writes_a_row_per_mode_and_length(tmp_path, full_spec, pruned_s
     assert [(r[0], r[2], r[7]) for r in rows[1:]] == [
         (mode, str(n), str(param_count(decoder[mode])))
         for mode in ("full", "pruned", "overfill") for n in (32, 64, 128)]
+
+
+@pytest.mark.parametrize("full_spec, pruned_spec", [("llama32_3b", "llama32_1b"),
+                                                    ("llama32_3b", "llama31_8b")],
+                         ids=["3b-1b", "3b-8b"])
+def test_roofline_rejects_a_pair_that_cannot_share_a_cache(tmp_path, capsys, full_spec,
+                                                          pruned_spec):
+    bench = {"roofline_full_geometry": full_spec, "roofline_pruned_geometry": pruned_spec}
+    (tmp_path / "run.json").write_text(json.dumps({"bench": bench}))
+    assert run_cli(tmp_path, "roofline") == 2
+    err = capsys.readouterr().err
+    assert "cache geometry mismatch" in err and "Traceback" not in err
+    assert not (tmp_path / "roofline.csv").exists()

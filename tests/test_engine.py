@@ -130,7 +130,7 @@ def test_prompt_too_short_rejected(full_w, pruned_w):
 @pytest.mark.parametrize("temperature", [-0.5, math.nan, math.inf])
 def test_gen_params_reject_a_negative_or_non_finite_temperature(temperature):
     with pytest.raises(ConfigError, match="temperature"):
-        GenParams(max_new_tokens=1, temperature=temperature).validate()
+        GenParams(max_new_tokens=1, temperature=temperature)
 
 
 def test_cache_geometry_mismatch_rejected(full_w):

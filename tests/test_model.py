@@ -23,20 +23,20 @@ def random_tokens(rng, n, vocab=None):
 
 def test_config_validation_rejects_bad_fields():
     with pytest.raises(ConfigError):
-        dataclasses.replace(DESK_CONFIG, n_layers=0).validate()
+        dataclasses.replace(DESK_CONFIG, n_layers=0)
     with pytest.raises(ConfigError):
-        dataclasses.replace(DESK_CONFIG, n_heads=3, n_kv_heads=2).validate()
+        dataclasses.replace(DESK_CONFIG, n_heads=3, n_kv_heads=2)
     with pytest.raises(ConfigError):
-        dataclasses.replace(DESK_CONFIG, head_dim=7).validate()
+        dataclasses.replace(DESK_CONFIG, head_dim=7)
     for field in ("norm_eps", "rope_theta"):
         for bad in (float("nan"), float("inf"), "1e-5", True):
             with pytest.raises(ConfigError, match=field):
-                dataclasses.replace(DESK_CONFIG, **{field: bad}).validate()
+                dataclasses.replace(DESK_CONFIG, **{field: bad})
     for field, bad in (("n_layers", True), ("hidden_dim", np.int64(64)),
                        ("tied_embeddings", "no"), ("tied_embeddings", 1),
                        ("tied_embeddings", None)):
         with pytest.raises(ConfigError, match=field):
-            dataclasses.replace(DESK_CONFIG, **{field: bad}).validate()
+            dataclasses.replace(DESK_CONFIG, **{field: bad})
 
 
 def test_config_roundtrip_rejects_unknown_keys():

@@ -56,7 +56,7 @@ def test_pruned_dims_reject_empty_result():
     with pytest.raises(ConfigError):
         compute_pruned_dims(1, 1, PruneConfig(p_hidden=0.99, p_intermediate=0.0))
     with pytest.raises(ConfigError):
-        PruneConfig(p_hidden=1.0, p_intermediate=0.0).validate()
+        PruneConfig(p_hidden=1.0, p_intermediate=0.0)
 
 
 # ---------------------------------------------------------------------------
