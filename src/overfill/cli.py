@@ -26,7 +26,7 @@ from .corpus import (TASK_KINDS, ChatExample, Tokenizer, format_chat, gen_tasks,
                      load_dataset, pack_calibration_batches, save_dataset)
 from .engine import MODES, GenParams, evaluate_exact_match, generate
 from .errors import ConfigError, DataError
-from .model import DESK_CONFIG, ModelConfig, init_model
+from .model import DESK_CONFIG, ModelConfig, check_handoff, init_model
 from .perfmodel import (HardwareSpec, param_count, reference_geometries, reference_geometry,
                         roofline_estimate, write_cost_csv)
 from .pruner import PruneConfig, compute_pruned_dims, prune_pipeline
@@ -125,11 +125,48 @@ def _validate_section(schema: dict, doc, pointer: str, errors: list) -> dict:
     return out
 
 
+def _geometry(spec: Optional[str]) -> Optional[ModelConfig]:
+    """None, a bundled reference geometry by name, or a model config file."""
+    if spec is None:
+        return None
+    return reference_geometry(spec) if spec in reference_geometries() else load_config(spec)
+
+
+def _cut(full: ModelConfig, pcfg: PruneConfig) -> ModelConfig:
+    """The geometry the prune ratios leave of `full`."""
+    d_kept, i_kept = compute_pruned_dims(full.hidden_dim, full.intermediate_dim, pcfg)
+    return dataclasses.replace(full, hidden_dim=d_kept, intermediate_dim=i_kept)
+
+
+def _resolve_roofline_pair(cfg: dict, errors: list) -> None:
+    """Check that the prune ratios leave channels of the model section (what
+    `prune` cuts), and set bench.roofline_full_geometry and
+    roofline_pruned_geometry to the pair `roofline` estimates: the model
+    section when no full geometry is given, the full one cut by the prune
+    ratios when no pruned one is. The pair must share a cache."""
+    b, model, pcfg = cfg["bench"], cfg["model"], cfg["prune"]
+    ptr = "/prune"  # what the next failure is reported against
+    try:
+        _cut(model, pcfg)
+        ptr = "/bench/roofline_full_geometry"
+        full = b["roofline_full_geometry"] or model
+        pruned = b["roofline_pruned_geometry"] or _cut(full, pcfg)
+        ptr = "/bench/roofline_pruned_geometry"
+        check_handoff(full, pruned)
+    except ConfigError as exc:
+        errors.append(f"{ptr}: {exc}")
+        return
+    b["roofline_full_geometry"], b["roofline_pruned_geometry"] = full, pruned
+
+
 def load_run_config(path: str, seed: Optional[int] = None) -> dict:
     """The run config with defaults filled in; `seed`, when given, replaces
     the file's. Values are range-checked once their types are right, and the
     `model`, `prune`, `gen` and `bench/hardware` sections come back as the
-    ModelConfig, PruneConfig, GenParams and HardwareSpec built from them."""
+    ModelConfig, PruneConfig, GenParams and HardwareSpec built from them.
+    `bench/roofline_full_geometry` and `roofline_pruned_geometry` come back
+    as the ModelConfig pair that `roofline` estimates (see
+    _resolve_roofline_pair)."""
     errors: list[str] = []
     cfg = _validate_section(RUN_SCHEMA, read_json_object(path, "run config"), "", errors)
     if seed is not None:
@@ -146,12 +183,13 @@ def load_run_config(path: str, seed: Optional[int] = None) -> dict:
                 parent[key] = spec(**parent[key])
             except ConfigError as exc:
                 errors.append(f"{ptr}: {exc}")
-        model, pcfg = cfg["model"], cfg["prune"]
-        if isinstance(model, ModelConfig) and isinstance(pcfg, PruneConfig):
+        for key in ("roofline_full_geometry", "roofline_pruned_geometry"):
             try:
-                compute_pruned_dims(model.hidden_dim, model.intermediate_dim, pcfg)
-            except ConfigError as exc:
-                errors.append(f"/prune: {exc}")
+                b[key] = _geometry(b[key])
+            except (ConfigError, DataError) as exc:
+                errors.append(f"/bench/{key}: {exc}")
+        if not errors:  # every section object and roofline geometry was built
+            _resolve_roofline_pair(cfg, errors)
         # The step counts and batch_size are checked by run_training: --steps
         # can replace a step count, and gen-data never reads them.
         t = cfg["train"]
@@ -334,23 +372,11 @@ def cmd_param_count(args, cfg_unused) -> int:
 def cmd_roofline(args, cfg: dict) -> int:
     run_dir = Path(args.out)
     b = cfg["bench"]
-
-    def geometry(spec):
-        """None, a bundled reference geometry by name, or a model config file."""
-        if spec is None:
-            return None
-        return reference_geometry(spec) if spec in reference_geometries() else load_config(spec)
-
-    full_cfg = geometry(b["roofline_full_geometry"]) or cfg["model"]
-    pruned_cfg = geometry(b["roofline_pruned_geometry"])
-    if pruned_cfg is None:
-        d_kept, i_kept = compute_pruned_dims(full_cfg.hidden_dim, full_cfg.intermediate_dim,
-                                             cfg["prune"])
-        pruned_cfg = dataclasses.replace(full_cfg, hidden_dim=d_kept, intermediate_dim=i_kept)
     reports = []
     for mode in MODES:
         for n in b["gen_lens"]:
-            reports.append(roofline_estimate(b["hardware"], full_cfg, pruned_cfg,
+            reports.append(roofline_estimate(b["hardware"], b["roofline_full_geometry"],
+                                             b["roofline_pruned_geometry"],
                                              b["prompt_len"], n, b["batch"], mode))
     write_cost_csv(run_dir / "roofline.csv", reports)
     print(f"roofline: wrote {len(reports)} rows to roofline.csv")

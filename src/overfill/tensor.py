@@ -154,7 +154,7 @@ def grad_of(loss: Tensor, tape: GradTape, params: Iterable[Tensor]) -> dict:
                 grads[key] = grads[key] + gi
             else:
                 grads[key] = gi
-    return {p: grads.get(id(p), np.zeros_like(p.data)) for p in params}
+    return {p: grads[id(p)] if id(p) in grads else np.zeros_like(p.data) for p in params}
 
 
 # ---------------------------------------------------------------------------

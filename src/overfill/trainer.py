@@ -78,6 +78,7 @@ def build_batch(examples: Sequence[ChatExample], tok: Tokenizer,
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_BLOCK = 1 << 15  # elements per block of the Adam update (128 KB of float32)
 
 
 @dataclass
@@ -96,8 +97,10 @@ class OptState:
                     total_steps: int) -> "OptState":
         opt = cls(base_lr=base_lr, warmup_ratio=warmup_ratio, total_steps=total_steps)
         for t in w.tensors():
-            opt.m.append(np.zeros_like(t.data))
-            opt.v.append(np.zeros_like(t.data))
+            # C order: _adam_update updates the moments through flat views,
+            # and a flat view of a Fortran-ordered array would be a copy.
+            opt.m.append(np.zeros(t.data.shape, t.data.dtype))
+            opt.v.append(np.zeros(t.data.shape, t.data.dtype))
         return opt
 
 
@@ -115,21 +118,57 @@ def lr_schedule(step: float, opt: OptState) -> float:
 
 
 def _adam_update(tensors: Sequence[Tensor], grads: dict, opt: OptState) -> float:
-    """One Adam update; returns the learning rate it applied."""
+    """One Adam update; returns the learning rate it applied.
+
+    Each parameter's flat view is walked in blocks of ADAM_BLOCK elements
+    through two block-sized scratch arrays, so the temporaries of the
+    formula stay in cache and the parameters, gradients and moments cross
+    memory once each (read g, m, v, p; write m, v, p) instead of about 15
+    times. The ops and their order are the plain formula's, so the results
+    are bit-identical to it. The moments are updated in place; the new
+    parameter values go into a fresh C-ordered array that `p.data` is
+    rebound to, so an array taken from a tensor before the step keeps its
+    values. Writing into `p.data` instead made Adam itself faster (117 ms
+    instead of 149 per step of the benchmark's `mid` decoder, 22M
+    parameters, on a 2-core x86 host) but the step slower: the gradient pass
+    took 14.5k-31k more minor page faults per step (+45-60 ms) and a later
+    `slice_model` about 11k more, likely because the per-step parameter
+    arrays no longer kept the malloc heap from being returned to the kernel.
+    """
     opt.step += 1
     # The schedule is evaluated at the middle of the 1-based step, so the
     # first update and the last are both taken at a nonzero learning rate.
     lr = lr_schedule(min(opt.step, opt.total_steps) - 0.5, opt)
     bc1 = 1.0 - ADAM_BETA1 ** opt.step
     bc2 = 1.0 - ADAM_BETA2 ** opt.step
+    scratch = {}  # dtype -> two block-sized work arrays
     for i, p in enumerate(tensors):
-        g = grads[p]
-        opt.m[i] = ADAM_BETA1 * opt.m[i] + (1.0 - ADAM_BETA1) * g
-        opt.v[i] = ADAM_BETA2 * opt.v[i] + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = opt.m[i] / bc1
-        v_hat = opt.v[i] / bc2
-        update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        p.data = p.data - (lr * update).astype(p.data.dtype)
+        dtype = p.data.dtype
+        if dtype not in scratch:
+            scratch[dtype] = (np.empty(ADAM_BLOCK, dtype), np.empty(ADAM_BLOCK, dtype))
+        t_buf, u_buf = scratch[dtype]
+        new = np.empty(p.data.shape, dtype)
+        g = grads[p].reshape(-1)
+        m, v = opt.m[i].reshape(-1, copy=False), opt.v[i].reshape(-1, copy=False)
+        x, out = p.data.reshape(-1), new.reshape(-1)
+        for lo in range(0, x.size, ADAM_BLOCK):
+            sl = slice(lo, lo + ADAM_BLOCK)
+            gs, ms, vs = g[sl], m[sl], v[sl]
+            t, u = t_buf[:gs.size], u_buf[:gs.size]
+            ms *= ADAM_BETA1                                   # m = b1*m + (1-b1)*g
+            ms += np.multiply(gs, 1.0 - ADAM_BETA1, out=t)
+            vs *= ADAM_BETA2                                   # v = b2*v + (1-b2)*(g*g)
+            np.multiply(gs, gs, out=t)
+            t *= 1.0 - ADAM_BETA2
+            vs += t
+            np.divide(vs, bc2, out=t)                          # sqrt(v/bc2) + eps
+            np.sqrt(t, out=t)
+            t += ADAM_EPS
+            np.divide(ms, bc1, out=u)                          # (m/bc1) / that
+            u /= t
+            u *= lr
+            np.subtract(x[sl], u, out=out[sl])                 # p - lr*update
+        p.data = new
     return lr
 
 
@@ -217,12 +256,12 @@ def run_training(prefill_w: Optional[Weights], w: Weights,
     frozen prefill model when one is given (see train_step)."""
     if steps < 1 or batch_size < 1:
         raise ConfigError(f"steps and batch_size must be >= 1, got {steps} and {batch_size}")
+    if batch_size > len(examples):
+        raise DataError(f"batch size {batch_size} exceeds dataset size {len(examples)}")
     if prefill_w is not None:
         prefill_w.freeze()
     w.set_requires_grad(True)
     opt = OptState.for_weights(w, base_lr, warmup_ratio, steps)
-    if batch_size > len(examples):
-        raise DataError(f"batch size {batch_size} exceeds dataset size {len(examples)}")
     stream = _batch_stream(len(examples), batch_size, data_seed)
     rows = []
     tokens_seen = 0

@@ -384,10 +384,13 @@ def test_bad_generation_params_exit_2(run_dir, capsys, gen, message):
     ({"bench": {"batch": 0}}, (), "/bench/batch: expected >= 1, got 0"),
     ({"prune": {"hardware_round_to": 1024}}, (), "/prune: pruned dims must be >= 1"),
     ({"prune": {"p_hidden": 0.99}}, (), "/prune: pruned dims must be >= 1"),
+    ({"bench": {"roofline_full_geometry": "nope.json"}}, (),
+     "/bench/roofline_full_geometry: model config not found"),
 ], ids=["seed", "seed-flag", "max-new-tokens", "gen-lens", "kinds", "base-lr",
         "base-lr-inf", "temperature-nan", "rope-theta-nan", "hardware-inf",
         "kinds-empty", "kinds-repeated", "gen-lens-empty", "p-hidden", "n-heads",
-        "calib-rows", "peak-flops", "prompt-len", "batch", "round-to", "p-hidden-empty"])
+        "calib-rows", "peak-flops", "prompt-len", "batch", "round-to", "p-hidden-empty",
+        "roofline-file"])
 def test_out_of_range_run_config_exits_2(run_dir, capsys, subcommand, doc, args, message):
     (run_dir / "run.json").write_text(json.dumps(doc))
     extra = ("--prompt", "hi") if subcommand == "generate" else ()
@@ -579,3 +582,21 @@ def test_roofline_rejects_a_pair_that_cannot_share_a_cache(tmp_path, capsys, ful
     err = capsys.readouterr().err
     assert "cache geometry mismatch" in err and "Traceback" not in err
     assert not (tmp_path / "roofline.csv").exists()
+    assert run_cli(tmp_path, "gen-data") == 2
+    assert "/bench/roofline_pruned_geometry: cache geometry mismatch" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+def test_gen_data_rejects_a_roofline_geometry_the_prune_ratios_empty(tmp_path, capsys):
+    # The model section keeps channels at p_hidden 0.9; the 8-wide geometry
+    # that roofline would cut does not.
+    geometry = tmp_path / "narrow.config.json"
+    save_config(geometry, dataclasses.replace(DESK_CONFIG, hidden_dim=8))
+    doc = {"prune": {"p_hidden": 0.9}, "bench": {"roofline_full_geometry": str(geometry)}}
+    (tmp_path / "run.json").write_text(json.dumps(doc))
+    for subcommand in ("gen-data", "roofline"):
+        assert run_cli(tmp_path, subcommand) == 2
+        err = capsys.readouterr().err
+        assert "/bench/roofline_full_geometry: pruned dims must be >= 1" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "data").exists() and not (tmp_path / "roofline.csv").exists()

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ from overfill.errors import DataError
 from overfill import tensor as tk
 from overfill.model import KVCache, init_model, lm_logits, run_block
 from overfill.pruner import ImportanceScores, identity_selection, select_channels, slice_model
-from overfill.tensor import GradTape, grad_of
-from overfill.trainer import (OptState, TrainBatch, _batch_loss_rows, build_batch,
+from overfill.tensor import GradTape, Tensor, grad_of
+from overfill.trainer import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS, OptState,
+                              TrainBatch, _adam_update, _batch_loss_rows, build_batch,
                               lr_schedule, run_training, train_step, write_training_log)
 
 from helpers import TINY_CONFIG
@@ -383,3 +386,103 @@ def test_write_training_log(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "step,lr,loss,tokens_seen"
     assert lines[1] == "1,0.001,2.5,64"
+
+
+def test_run_training_checks_its_inputs_before_touching_the_weights():
+    full, pruned = make_pair(desk_small(), seed=2)
+    with pytest.raises(DataError, match="exceeds dataset size"):
+        run_training(full, pruned, tiny_examples(4), TOK, steps=1, batch_size=64,
+                     max_seq_len=96, base_lr=1e-3, warmup_ratio=0.0, data_seed=0)
+    assert not full.frozen
+    assert not any(t.requires_grad for t in pruned.tensors())
+
+
+# ---------------------------------------------------------------------------
+# Adam update
+# ---------------------------------------------------------------------------
+
+def _reference_adam_update(tensors, grads, opt):
+    """The plain formula, one whole-array op at a time."""
+    opt.step += 1
+    lr = lr_schedule(min(opt.step, opt.total_steps) - 0.5, opt)
+    bc1 = 1.0 - ADAM_BETA1 ** opt.step
+    bc2 = 1.0 - ADAM_BETA2 ** opt.step
+    for i, p in enumerate(tensors):
+        g = grads[p]
+        opt.m[i] = ADAM_BETA1 * opt.m[i] + (1.0 - ADAM_BETA1) * g
+        opt.v[i] = ADAM_BETA2 * opt.v[i] + (1.0 - ADAM_BETA2) * (g * g)
+        m_hat = opt.m[i] / bc1
+        v_hat = opt.v[i] / bc2
+        update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        p.data = p.data - (lr * update).astype(p.data.dtype)
+    return lr
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_update_matches_the_reference_formula(dtype):
+    def params():
+        rng = np.random.default_rng(0)
+        return [Tensor(rng.standard_normal(5 * ADAM_BLOCK // 2), True, dtype),  # partial last block
+                Tensor(rng.standard_normal((3, 7)), True, dtype),               # under one block
+                Tensor(np.asfortranarray(rng.standard_normal((300, 200)).astype(dtype)), True)]
+
+    ours, ref = params(), params()
+    assert not ours[2].data.flags.c_contiguous
+    opt = OptState.for_weights(SimpleNamespace(tensors=lambda: ours), 1e-2, 0.5, 4)
+    ref_opt = OptState(1e-2, 0.5, 4, m=[np.zeros_like(p.data) for p in ref],
+                       v=[np.zeros_like(p.data) for p in ref])
+    rng = np.random.default_rng(1)
+    for _ in range(4):
+        gs = [rng.standard_normal(p.shape).astype(dtype) for p in ours]
+        lr = _adam_update(ours, dict(zip(ours, gs)), opt)
+        assert lr == _reference_adam_update(ref, dict(zip(ref, gs)), ref_opt)
+        for i, (p, q) in enumerate(zip(ours, ref)):
+            assert _bits(p.data) == _bits(q.data)
+            assert _bits(opt.m[i]) == _bits(ref_opt.m[i])
+            assert _bits(opt.v[i]) == _bits(ref_opt.v[i])
+
+
+def test_train_step_updates_moments_in_place_and_rebinds_the_weights(monkeypatch):
+    cfg = desk_small()
+    full, pruned = make_pair(cfg, seed=9)
+    full.freeze()
+    pruned.set_requires_grad(True)
+    q = next(t for t in pruned.tensors() if t.data.ndim == 2)
+    q.data = np.asfortranarray(q.data)   # its moments must still be C-ordered
+    assert not q.data.flags.c_contiguous
+    opt = OptState.for_weights(pruned, 1e-3, 0.0, 10)
+    moments = opt.m + opt.v
+    batch = build_batch(tiny_examples(4, seed=3), TOK, 96)
+
+    zero_filled = []
+    real_zeros_like = np.zeros_like
+
+    def zeros_like(a, *args, **kwargs):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "<dictcomp>":
+            caller = caller.f_back
+        if caller.f_code is grad_of.__code__:
+            zero_filled.append(a)
+        return real_zeros_like(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros_like", zeros_like)
+    for _ in range(2):
+        before = [p.data for p in pruned.tensors()]
+        saved = [a.copy() for a in before]
+        train_step(full, pruned, batch, opt)
+        assert all(a is b for a, b in zip(opt.m + opt.v, moments))
+        assert all(a.flags.c_contiguous for a in moments)
+        assert all(_bits(a) == _bits(b) for a, b in zip(before, saved))
+        assert all(p.data is not a for p, a in zip(pruned.tensors(), before))
+    assert all(m.any() for m in opt.m)
+    assert zero_filled == []
+    # The counter sees grad_of's default: a parameter outside the loss gets one.
+    p, idle = Tensor(np.ones(3), True), Tensor(np.ones(2), True)
+    with GradTape() as tape:
+        loss = tk.sum_all(p)
+    grad_of(loss, tape, [p, idle])
+    assert len(zero_filled) == 1 and zero_filled[0] is idle.data
