@@ -142,13 +142,13 @@ def save_config(path: PathLike, config: ModelConfig) -> None:
 
 def read_json_object(path: PathLike, what: str) -> dict:
     """The object a JSON file holds; DataError naming `what` if the file is
-    missing, is not valid JSON, or holds anything but an object."""
+    missing, is not valid UTF-8 JSON, or holds anything but an object."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"{what} not found: {path}")
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"invalid {what}: /: expected an object")

@@ -438,7 +438,7 @@ def main(argv=None) -> int:
         else:
             cfg = load_run_config(args.config, args.seed)
         return COMMANDS[args.subcommand](args, cfg)
-    except (DataError, ConfigError, FileNotFoundError) as exc:
+    except (DataError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -173,8 +173,8 @@ def load_dataset(path) -> list[ChatExample]:
         raise DataError(f"dataset not found: {path}")
     examples = []
     with open(path, "r", encoding="utf-8") as f:
-        header = f.readline()
         try:
+            header = f.readline()
             meta = json.loads(header)
             if not isinstance(meta, dict) or not {"kind", "seed", "count"} <= set(meta):
                 raise DataError(f"{path}: malformed dataset header: {header.strip()}")
@@ -186,7 +186,7 @@ def load_dataset(path) -> list[ChatExample]:
                 if not all(isinstance(v, str) for v in fields):
                     raise DataError(f"{path}: malformed dataset line: expected string fields")
                 examples.append(ChatExample(*fields))
-        except (json.JSONDecodeError, KeyError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
             raise DataError(f"{path}: malformed dataset line: {exc}") from exc
     if len(examples) != meta["count"]:
         raise DataError(f"{path}: header count {meta['count']} != {len(examples)} rows")

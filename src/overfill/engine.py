@@ -82,7 +82,8 @@ def generate(prefill_w: Weights, decode_w: Weights, prompt: Sequence[int],
     if len(prompt) < 2:
         raise DataError(f"prompt must have at least 2 tokens, got {len(prompt)}")
     check_handoff(prefill_w.config, decode_w.config)
-    cache = KVCache.for_config(prefill_w.config, dtype=prefill_w.token_embedding.dtype)
+    cache = KVCache.for_config(prefill_w.config, len(prompt) + params.max_new_tokens,
+                               dtype=prefill_w.token_embedding.dtype)
     forward_prefill(prefill_w, prompt[:-1], cache)
     rng = make_rng(params.seed)
     logits, _ = decode_step(decode_w, prompt[-1], cache, cache.filled_len)

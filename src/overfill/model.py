@@ -100,62 +100,48 @@ def check_handoff(prefill_cfg: ModelConfig, decode_cfg: ModelConfig) -> None:
 
 class KVCache:
     """Per-layer key/value history of one or more rows, each extended one
-    block of positions at a time.
+    block of positions at a time up to the capacity its caller sets.
 
     Shapes depend only on the attention geometry of the originating full
     model; entries written by full and pruned weights are interchangeable.
     Each row has its own fill length; a serving cache has one row, and
-    filled_len, keys() and values() default to it.
+    filled_len is its length.
     """
 
-    def __init__(self, n_layers: int, n_kv_heads: int, head_dim: int,
-                 dtype=np.float32, capacity: int = 64, rows: int = 1):
+    def __init__(self, n_layers: int, n_kv_heads: int, head_dim: int, capacity: int,
+                 dtype=np.float32, rows: int = 1):
         self.geometry = (n_layers, n_kv_heads, head_dim)
+        self.capacity = capacity
         self.row_lens = [0] * rows
         self._keys = [np.zeros((rows, capacity, n_kv_heads, head_dim), dtype=dtype)
                       for _ in range(n_layers)]
         self._values = [np.zeros_like(k) for k in self._keys]
 
     @classmethod
-    def for_config(cls, config: ModelConfig, dtype=np.float32, rows: int = 1) -> "KVCache":
-        return cls(*cache_shape(config), dtype=dtype, rows=rows)
+    def for_config(cls, config: ModelConfig, capacity: int, dtype=np.float32,
+                   rows: int = 1) -> "KVCache":
+        return cls(*cache_shape(config), capacity, dtype=dtype, rows=rows)
 
     @property
     def filled_len(self) -> int:
         return self.row_lens[0]
-
-    def keys(self, layer: int, row: int = 0) -> np.ndarray:
-        return self._keys[layer][row, : self.row_lens[row]]
-
-    def values(self, layer: int, row: int = 0) -> np.ndarray:
-        return self._values[layer][row, : self.row_lens[row]]
 
     def block_view(self, layer: int, width: int) -> tuple[np.ndarray, np.ndarray]:
         """Keys and values of every row at positions [0, width), as
         [rows, width, n_kv_heads, head_dim] views into the cache."""
         return self._keys[layer][:, :width], self._values[layer][:, :width]
 
-    def _grow(self, need: int) -> None:
-        cap = self._keys[0].shape[1]
-        if need <= cap:
-            return
-        # Twice what is needed, so a long prefill leaves room for the decode
-        # steps that follow it instead of filling the buffers exactly.
-        new_cap = 2 * max(need, cap)
-        filled = max(self.row_lens)
-        for buf_list in (self._keys, self._values):
-            for i, buf in enumerate(buf_list):
-                grown = np.zeros((buf.shape[0], new_cap) + buf.shape[2:], dtype=buf.dtype)
-                grown[:, :filled] = buf[:, :filled]
-                buf_list[i] = grown
-
-    def append_block(self, t: int, row: int = 0) -> int:
-        """Extend one row of every layer by t positions and return its old
-        length; the caller fills positions [old length, new length)."""
-        lo = self.row_lens[row]
-        self._grow(lo + t)
-        self.row_lens[row] = lo + t
-        return lo
+    def append_block(self, counts: Sequence[int]) -> list[int]:
+        """Extend row b of every layer by counts[b] positions and return the
+        old lengths; the caller fills positions [old length, new length).
+        A claim past the capacity raises DataError and extends no row."""
+        old = self.row_lens
+        new = [lo + c for lo, c in zip(old, counts)]
+        if max(new) > self.capacity:
+            raise DataError(f"a block of {counts} positions after {old} overflows "
+                            f"the cache capacity {self.capacity}")
+        self.row_lens = new
+        return old
 
 
 def _axes(*tags: str):
@@ -344,9 +330,7 @@ def run_block(w: Weights, tokens: Sequence[int], cache: KVCache,
                         f"over {n_rows} cache rows")
 
     dh = cfg.head_dim
-    history = list(cache.row_lens)
-    for b, c in enumerate(counts):
-        cache.append_block(c, b)
+    history = cache.append_block(counts)
     positions, width, mask, slots, kv_at, kv_lead = _row_layout(
         history, counts, w.token_embedding.dtype)
     kv_shape = kv_lead + (cfg.n_kv_heads, dh)
@@ -376,7 +360,7 @@ def run_block(w: Weights, tokens: Sequence[int], cache: KVCache,
                 tap(li, "ffn_inner", inner.data)
             x = tk.add(x, tk.matmul(inner, lw.w_down))
     except BaseException:
-        cache.row_lens[:] = history  # a failed block leaves the cache as it was
+        cache.row_lens = history  # a failed block leaves the cache as it was
         raise
     return tk.rms_norm(x, w.final_norm_gamma, cfg.norm_eps)
 

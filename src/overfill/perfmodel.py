@@ -76,10 +76,6 @@ def roofline_estimate(hw: HardwareSpec, full_cfg: ModelConfig,
                           * prompt_len * prompt_len * batch)
     prefill_s = prefill_flops / hw.peak_flops
 
-    if gen_len == 0:
-        return CostReport(mode, prompt_len, gen_len, batch, prefill_s, 0.0,
-                          p_pre, p_dec)
-
     step_bytes = float(p_dec) * hw.bytes_per_param
     step_flops = 2.0 * p_dec * batch
     if include_secondary:

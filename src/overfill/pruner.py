@@ -146,7 +146,7 @@ def collect_activations(w: Weights, calib: Sequence[np.ndarray]) -> ActivationSt
             total += np.square(row, dtype=np.float64)
 
     for batch in batches:
-        cache = KVCache.for_config(cfg, dtype=w.token_embedding.dtype, rows=len(batch))
+        cache = KVCache.for_config(cfg, seq, dtype=w.token_embedding.dtype, rows=len(batch))
         run_block(w, batch.reshape(-1), cache, tap=tap, row_lens=[seq] * len(batch))
     return ActivationStats(**sums)
 

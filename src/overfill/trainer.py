@@ -188,7 +188,7 @@ def _batch_loss_rows(prefill_w: Optional[Weights], decode_w: Weights,
           else batch.prefill_lens - 1)[:, None]
     cols = np.arange(batch.token_ids.shape[1])[None, :]
     prompt, block = cols < lo, (cols >= lo) & (cols < ends)
-    cache = KVCache.for_config(decode_w.config, dtype=dtype, rows=batch.size)
+    cache = KVCache.for_config(decode_w.config, cols.size, dtype=dtype, rows=batch.size)
     if prompt.any():
         run_block(prefill_w, batch.token_ids[prompt], cache, row_lens=prompt.sum(axis=1))
     hidden = run_block(decode_w, batch.token_ids[block], cache, row_lens=block.sum(axis=1))

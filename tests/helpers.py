@@ -15,6 +15,13 @@ TINY_CONFIG = ModelConfig(
 )
 
 
+def cache_row(cache, layer, row=0):
+    """(keys, values) of one cache row over its filled positions, each
+    [row length, n_kv_heads, head_dim]."""
+    keys, values = cache.block_view(layer, cache.row_lens[row])
+    return keys[row], values[row]
+
+
 def fd_gradcheck(build, arrays, h=1e-4, tol=1e-4, rel_floor=1e-6):
     """Compare reverse-mode gradients of build(tensors) -> scalar against
     central finite differences in float64. build must be a pure function of

@@ -386,13 +386,15 @@ def test_bad_generation_params_exit_2(run_dir, capsys, gen, message):
     ({"prune": {"p_hidden": 0.99}}, (), "/prune: pruned dims must be >= 1"),
     ({"bench": {"roofline_full_geometry": "nope.json"}}, (),
      "/bench/roofline_full_geometry: model config not found"),
+    (b'{"seed": 1\xff}', (), "not valid JSON: 'utf-8' codec can't decode byte 0xff"),
 ], ids=["seed", "seed-flag", "max-new-tokens", "gen-lens", "kinds", "base-lr",
         "base-lr-inf", "temperature-nan", "rope-theta-nan", "hardware-inf",
         "kinds-empty", "kinds-repeated", "gen-lens-empty", "p-hidden", "n-heads",
         "calib-rows", "peak-flops", "prompt-len", "batch", "round-to", "p-hidden-empty",
-        "roofline-file"])
+        "roofline-file", "not-utf8"])
 def test_out_of_range_run_config_exits_2(run_dir, capsys, subcommand, doc, args, message):
-    (run_dir / "run.json").write_text(json.dumps(doc))
+    raw = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
+    (run_dir / "run.json").write_bytes(raw)
     extra = ("--prompt", "hi") if subcommand == "generate" else ()
     code = run_cli(run_dir, subcommand, *args, *extra)
     err = capsys.readouterr().err
@@ -413,13 +415,27 @@ def test_bench_is_not_a_subcommand(run_dir, capsys):
     [json.dumps({"kind": "copy", "seed": 0, "count": 1}), "[1, 2]"],
     [json.dumps({"kind": "copy", "seed": 0, "count": 1}),
      json.dumps({"system": 5, "user": "a", "assistant": "a", "task_kind": "copy"})],
-], ids=["header", "example", "field-type"])
+    # "\udcff" is written as the lone byte 0xff, which is not UTF-8.
+    [json.dumps({"kind": "copy", "seed": 0, "count": 1}),
+     '{"system": "\udcff", "user": "a", "assistant": "a", "task_kind": "copy"}'],
+], ids=["header", "example", "field-type", "not-utf8"])
 def test_dataset_line_that_is_not_an_object_exits_2(run_dir, capsys, lines):
     (run_dir / "data").mkdir()
-    (run_dir / "data" / "eval_copy.jsonl").write_text("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    (run_dir / "data" / "eval_copy.jsonl").write_bytes(text.encode("utf-8", "surrogateescape"))
     code = run_cli(run_dir, "eval", "--kind", "copy")
     err = capsys.readouterr().err
     assert code == 2 and "malformed dataset" in err and "Traceback" not in err
+
+
+def test_out_naming_an_existing_file_exits_2(tmp_path, capsys):
+    (tmp_path / "run.json").write_text("{}")
+    (tmp_path / "afile").write_text("")
+    code = cli.main(["gen-data", "--config", str(tmp_path / "run.json"),
+                     "--out", str(tmp_path / "afile")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and "Not a directory" in err
+    assert "Traceback" not in err
 
 
 def test_prompt_token_outside_the_model_vocabulary_exits_2(tmp_path, capsys):

@@ -18,6 +18,8 @@ from overfill.model import (DESK_CONFIG, KVCache, decode_step, forward_prefill,
                             init_model, lm_logits, run_block)
 from overfill.tensor import GradTape, Tensor, grad_of
 
+from helpers import cache_row
+
 DTYPES = (np.float32, np.float64)
 
 
@@ -83,18 +85,18 @@ def test_forward_entry_points_keep_dtype(dt):
     w = init_model(DESK_CONFIG, seed=0, dtype=dt)
     tokens = np.random.default_rng(1).integers(0, DESK_CONFIG.vocab_size, 9).tolist()
 
-    cache = KVCache.for_config(DESK_CONFIG, dtype=dt)
+    cache = KVCache.for_config(DESK_CONFIG, len(tokens), dtype=dt)
     hidden = run_block(w, tokens, cache)
     assert hidden.dtype == dt
     assert lm_logits(w, hidden).dtype == dt
 
-    cache = KVCache.for_config(DESK_CONFIG, dtype=dt)
+    cache = KVCache.for_config(DESK_CONFIG, len(tokens) + 1, dtype=dt)
     last, logits, _ = forward_prefill(w, tokens, cache)
     assert last.dtype == dt and logits.dtype == dt
     logits, _ = decode_step(w, 7, cache, cache.filled_len)
     assert logits.dtype == dt
-    assert all(cache.keys(li).dtype == dt and cache.values(li).dtype == dt
-               for li in range(DESK_CONFIG.n_layers))
+    assert all(a.dtype == dt for li in range(DESK_CONFIG.n_layers)
+               for a in cache_row(cache, li))
 
 
 def test_train_step_keeps_float32():

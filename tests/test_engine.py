@@ -14,6 +14,8 @@ from overfill.pruner import (ImportanceScores, identity_selection, select_channe
                              slice_model)
 from overfill.corpus import Tokenizer, gen_tasks
 
+from helpers import cache_row
+
 
 @pytest.fixture(scope="module")
 def full_w():
@@ -97,7 +99,7 @@ def test_overfill_matches_manual_two_model_reference(full_w, pruned_w):
     params = GenParams(max_new_tokens=10, temperature=0.0, seed=0)
     got = overfill_generate(full_w, pruned_w, prompt, params)
 
-    cache = KVCache.for_config(DESK_CONFIG)
+    cache = KVCache.for_config(DESK_CONFIG, len(prompt) + params.max_new_tokens)
     forward_prefill(full_w, prompt[:-1], cache)
     logits, _ = decode_step(pruned_w, prompt[-1], cache, cache.filled_len)
     expected = []
@@ -168,18 +170,18 @@ def test_cache_writer_boundary(full_w, pruned_w):
     prompt = prompts(1, length=7, seed=7)[0]
     out, cache = generate(full_w, pruned_w, prompt, GenParams(max_new_tokens=4))
     m = len(prompt)
-    ref = KVCache.for_config(DESK_CONFIG)
+    ref = KVCache.for_config(DESK_CONFIG, m + 3)
     forward_prefill(full_w, prompt[:-1], ref)
-    full_next = KVCache.for_config(DESK_CONFIG)
+    full_next = KVCache.for_config(DESK_CONFIG, m)
     forward_prefill(full_w, prompt, full_next)
     for tok in [prompt[-1]] + out[:-1]:
         decode_step(pruned_w, tok, ref, ref.filled_len)
     assert cache.filled_len == ref.filled_len == m + 3
     for layer in range(DESK_CONFIG.n_layers):
-        for rows in ("keys", "values"):
-            got = getattr(cache, rows)(layer)
-            np.testing.assert_array_equal(got, getattr(ref, rows)(layer))
-            assert not np.array_equal(got[m - 1], getattr(full_next, rows)(layer)[m - 1])
+        for got, want, full in zip(cache_row(cache, layer), cache_row(ref, layer),
+                                   cache_row(full_next, layer)):
+            np.testing.assert_array_equal(got, want)
+            assert not np.array_equal(got[m - 1], full[m - 1])
 
 
 def test_generation_deterministic_across_runs(full_w, pruned_w):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from overfill import tensor as tk
-from overfill.errors import ConfigError
+from overfill.errors import ConfigError, DataError
 from overfill.model import (DESK_CONFIG, KVCache, ModelConfig, Weights, cache_shape,
                             decode_step, forward_prefill, init_model, lm_logits,
                             run_block)
 from overfill.perfmodel import param_count
 
-from helpers import TINY_CONFIG, ref_forward
+from helpers import TINY_CONFIG, cache_row, ref_forward
 
 
 def random_tokens(rng, n, vocab=None):
@@ -77,8 +77,8 @@ def test_init_allocation_matches_closed_form_count():
 
 def test_prefill_fills_cache_and_shapes():
     w = init_model(DESK_CONFIG, seed=0)
-    cache = KVCache.for_config(DESK_CONFIG)
     tokens = random_tokens(np.random.default_rng(0), 9)
+    cache = KVCache.for_config(DESK_CONFIG, len(tokens))
     last, logits, out_cache = forward_prefill(w, tokens, cache)
     assert out_cache.filled_len == len(tokens)
     assert last.shape == (DESK_CONFIG.hidden_dim,)
@@ -87,14 +87,14 @@ def test_prefill_fills_cache_and_shapes():
 
 def test_prefill_single_token_prompt():
     w = init_model(DESK_CONFIG, seed=0)
-    cache = KVCache.for_config(DESK_CONFIG)
+    cache = KVCache.for_config(DESK_CONFIG, 1)
     forward_prefill(w, [42], cache)
     assert cache.filled_len == 1
 
 
 def test_prefill_requires_empty_cache():
     w = init_model(DESK_CONFIG, seed=0)
-    cache = KVCache.for_config(DESK_CONFIG)
+    cache = KVCache.for_config(DESK_CONFIG, 3)
     forward_prefill(w, [1, 2], cache)
     with pytest.raises(ValueError, match="empty cache"):
         forward_prefill(w, [3], cache)
@@ -104,23 +104,23 @@ def test_prefill_rejects_out_of_range_token():
     w = init_model(DESK_CONFIG, seed=0)
     for bad in (DESK_CONFIG.vocab_size, -1):
         with pytest.raises(ValueError, match="out of range"):
-            forward_prefill(w, [0, bad], KVCache.for_config(DESK_CONFIG))
+            forward_prefill(w, [0, bad], KVCache.for_config(DESK_CONFIG, 2))
 
 
 def test_incremental_decode_matches_batched_prefill():
     w = init_model(DESK_CONFIG, seed=3)
     tokens = random_tokens(np.random.default_rng(1), 12)
 
-    batched = KVCache.for_config(DESK_CONFIG)
+    batched = KVCache.for_config(DESK_CONFIG, len(tokens))
     _, logits_batched, _ = forward_prefill(w, tokens, batched)
 
-    incremental = KVCache.for_config(DESK_CONFIG)
+    incremental = KVCache.for_config(DESK_CONFIG, len(tokens))
     for pos, t in enumerate(tokens):
         logits_inc, _ = decode_step(w, t, incremental, pos)
 
     for layer in range(DESK_CONFIG.n_layers):
-        assert np.abs(batched.keys(layer) - incremental.keys(layer)).max() < 1e-5
-        assert np.abs(batched.values(layer) - incremental.values(layer)).max() < 1e-5
+        for a, b in zip(cache_row(batched, layer), cache_row(incremental, layer)):
+            assert np.abs(a - b).max() < 1e-5
     assert np.abs(logits_batched.numpy() - logits_inc.numpy()).max() < 1e-5
 
 
@@ -130,21 +130,21 @@ def test_decode_continues_prefill_positions():
     rng = np.random.default_rng(2)
     x, y = random_tokens(rng, 7), random_tokens(rng, 5)
 
-    joint = KVCache.for_config(DESK_CONFIG)
+    joint = KVCache.for_config(DESK_CONFIG, len(x + y))
     _, joint_logits, _ = forward_prefill(w, x + y, joint)
 
-    split = KVCache.for_config(DESK_CONFIG)
+    split = KVCache.for_config(DESK_CONFIG, len(x + y))
     forward_prefill(w, x, split)
     for i, t in enumerate(y):
         logits, _ = decode_step(w, t, split, len(x) + i)
     assert np.abs(joint_logits.numpy() - logits.numpy()).max() < 1e-5
     for layer in range(DESK_CONFIG.n_layers):
-        assert np.abs(joint.keys(layer) - split.keys(layer)).max() < 1e-5
+        assert np.abs(cache_row(joint, layer)[0] - cache_row(split, layer)[0]).max() < 1e-5
 
 
 def test_decode_step_position_mismatch_errors():
     w = init_model(DESK_CONFIG, seed=0)
-    cache = KVCache.for_config(DESK_CONFIG)
+    cache = KVCache.for_config(DESK_CONFIG, 4)
     forward_prefill(w, [1, 2, 3], cache)
     with pytest.raises(ValueError, match="position"):
         decode_step(w, 4, cache, 5)
@@ -153,54 +153,45 @@ def test_decode_step_position_mismatch_errors():
 def test_decode_step_geometry_mismatch_errors():
     w = init_model(DESK_CONFIG, seed=0)
     other = dataclasses.replace(DESK_CONFIG, n_layers=3)
-    cache = KVCache.for_config(other)
+    cache = KVCache.for_config(other, 1)
     with pytest.raises(ValueError, match="geometry"):
         decode_step(w, 1, cache, 0)
 
 
 def test_decode_appends_exactly_one_row_per_layer():
     w = init_model(DESK_CONFIG, seed=0)
-    cache = KVCache.for_config(DESK_CONFIG)
+    cache = KVCache.for_config(DESK_CONFIG, 1)
     decode_step(w, 5, cache, 0)
     assert cache.filled_len == 1
     for layer in range(DESK_CONFIG.n_layers):
-        assert cache.keys(layer).shape == (1, DESK_CONFIG.n_kv_heads, DESK_CONFIG.head_dim)
+        for rows in cache_row(cache, layer):
+            assert rows.shape == (1, DESK_CONFIG.n_kv_heads, DESK_CONFIG.head_dim)
 
 
-def test_cache_keeps_its_buffers_for_the_decode_step_after_a_long_prefill():
-    cache = KVCache.for_config(TINY_CONFIG)
-    rng = np.random.default_rng(0)
-    cache.append_block(255)
-    rows = [cache.keys(li) for li in range(TINY_CONFIG.n_layers)]
-    rows += [cache.values(li) for li in range(TINY_CONFIG.n_layers)]
-    for r in rows:
-        r[:] = rng.normal(size=r.shape)
-    before = [r.copy() for r in rows]
-    assert cache.append_block(1) == 255
-    after = [cache.keys(li) for li in range(TINY_CONFIG.n_layers)]
-    after += [cache.values(li) for li in range(TINY_CONFIG.n_layers)]
-    for old, new, saved in zip(rows, after, before):
-        assert np.shares_memory(old, new)
-        np.testing.assert_array_equal(new[:255], saved)
+def test_a_claim_past_the_capacity_raises_and_keeps_the_lengths():
+    cache = KVCache.for_config(TINY_CONFIG, 8, rows=2)
+    cache.append_block([5, 8])
+    for counts in ([4, 0], [0, 1], [9, 0]):
+        with pytest.raises(DataError, match="capacity 8"):
+            cache.append_block(counts)
+        assert cache.row_lens == [5, 8]
+    w = init_model(TINY_CONFIG, seed=0)
+    with pytest.raises(DataError, match="capacity 8"):
+        run_block(w, [1, 2, 3, 4], cache, row_lens=[4, 0])
+    assert cache.row_lens == [5, 8]
+    run_block(w, [1, 2, 3], cache, row_lens=[3, 0])
+    assert cache.row_lens == [8, 8]
 
 
-def test_cache_growth_keeps_history():
-    cache = KVCache.for_config(TINY_CONFIG)
-    cache.append_block(3)
-    cache.keys(1)[:] = 7.0
-    for t in (70, 1, 200):
-        cache.append_block(t)
-    assert cache.filled_len == 274
-    assert (cache.keys(1)[:3] == 7.0).all() and cache.keys(1).shape[0] == 274
-
-
-def test_cache_rows_grow_together_and_keep_their_own_lengths():
-    cache = KVCache.for_config(TINY_CONFIG, rows=3)
-    cache.append_block(5, row=1)
-    cache.keys(0, row=1)[:] = 3.0
-    assert cache.append_block(100, row=2) == 0
-    assert cache.row_lens == [0, 5, 100] and cache.filled_len == 0
-    assert (cache.keys(0, row=1) == 3.0).all() and cache.keys(0, row=1).shape[0] == 5
+def test_append_block_extends_every_row_and_returns_the_old_lengths():
+    cache = KVCache.for_config(TINY_CONFIG, 100, rows=3)
+    assert cache.append_block([5, 0, 100]) == [0, 0, 0]
+    assert cache.row_lens == [5, 0, 100] and cache.filled_len == 5
+    cache_row(cache, 0, row=0)[0][:] = 3.0
+    assert cache.append_block([0, 0, 0]) == [5, 0, 100]
+    keys, values = cache_row(cache, 0, row=0)
+    assert keys.shape == values.shape == (5, TINY_CONFIG.n_kv_heads, TINY_CONFIG.head_dim)
+    assert (keys == 3.0).all()
     keys, values = cache.block_view(1, 100)
     assert keys.shape == values.shape == (3, 100, TINY_CONFIG.n_kv_heads, TINY_CONFIG.head_dim)
 
@@ -223,7 +214,7 @@ def test_packed_rows_match_one_row_calls():
     prompts = [random_tokens(rng, n) for n in prompt_lens]
     blocks = [random_tokens(rng, n) for n in block_lens]
 
-    cache = KVCache.for_config(DESK_CONFIG, rows=4)
+    cache = KVCache.for_config(DESK_CONFIG, 12, rows=4)
     taps = []
     pre = run_block(w, sum(prompts, []), cache, tap=_tap_log(taps), row_lens=prompt_lens)
     dec = run_block(w, sum(blocks, []), cache, tap=_tap_log(taps), row_lens=block_lens)
@@ -232,7 +223,7 @@ def test_packed_rows_match_one_row_calls():
     p_off, b_off = np.cumsum([0] + prompt_lens), np.cumsum([0] + block_lens)
     n_pre = len(taps) // 2
     for r in range(4):
-        alone = KVCache.for_config(DESK_CONFIG)
+        alone = KVCache.for_config(DESK_CONFIG, prompt_lens[r] + block_lens[r])
         alone_taps = []
         if prompt_lens[r]:
             hp = run_block(w, prompts[r], alone, tap=_tap_log(alone_taps))
@@ -249,23 +240,21 @@ def test_packed_rows_match_one_row_calls():
             assert (li, point) == (li_, point_)
             np.testing.assert_allclose(got[b_off[r]: b_off[r + 1]], want, rtol=1e-5, atol=1e-5)
         for layer in range(DESK_CONFIG.n_layers):
-            np.testing.assert_allclose(cache.keys(layer, r), alone.keys(layer),
-                                       rtol=1e-5, atol=1e-5)
-            np.testing.assert_allclose(cache.values(layer, r), alone.values(layer),
-                                       rtol=1e-5, atol=1e-5)
+            for got, want in zip(cache_row(cache, layer, r), cache_row(alone, layer)):
+                np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
 
 def test_one_row_call_with_row_lens_is_the_default_call():
     w = init_model(DESK_CONFIG, seed=9)
     tokens = random_tokens(np.random.default_rng(9), 12)
-    a, b = KVCache.for_config(DESK_CONFIG), KVCache.for_config(DESK_CONFIG)
+    a, b = KVCache.for_config(DESK_CONFIG, 12), KVCache.for_config(DESK_CONFIG, 12)
     for lo, hi in ((0, 9), (9, 10), (10, 12)):
         ha = run_block(w, tokens[lo:hi], a)
         hb = run_block(w, tokens[lo:hi], b, row_lens=[hi - lo])
         np.testing.assert_array_equal(ha.numpy(), hb.numpy())
     for layer in range(DESK_CONFIG.n_layers):
-        np.testing.assert_array_equal(a.keys(layer), b.keys(layer))
-        np.testing.assert_array_equal(a.values(layer), b.values(layer))
+        for got, want in zip(cache_row(a, layer), cache_row(b, layer)):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_a_row_never_sees_another_rows_tokens():
@@ -279,7 +268,7 @@ def test_a_row_never_sees_another_rows_tokens():
     variant_tail[2] = (variant_tail[2] + 5) % DESK_CONFIG.vocab_size   # row 1's block
 
     def run(prompt, block):
-        cache = KVCache.for_config(DESK_CONFIG, rows=3)
+        cache = KVCache.for_config(DESK_CONFIG, 12, rows=3)
         h = run_block(w, prompt, cache, row_lens=lens)
         d = run_block(w, block, cache, row_lens=more)
         return h.numpy(), d.numpy(), cache
@@ -293,13 +282,13 @@ def test_a_row_never_sees_another_rows_tokens():
     assert not (d1[2:5] == d2[2:5]).all()
     for layer in range(DESK_CONFIG.n_layers):
         for r in (0, 2):
-            np.testing.assert_array_equal(c1.keys(layer, r), c2.keys(layer, r))
-            np.testing.assert_array_equal(c1.values(layer, r), c2.values(layer, r))
+            for got, want in zip(cache_row(c1, layer, r), cache_row(c2, layer, r)):
+                np.testing.assert_array_equal(got, want)
 
 
 def test_row_lens_must_split_the_block_over_the_cache_rows():
     w = init_model(DESK_CONFIG, seed=0)
-    cache = KVCache.for_config(DESK_CONFIG, rows=2)
+    cache = KVCache.for_config(DESK_CONFIG, 6, rows=2)
     for bad in ([3, 2], [6], [6, 0, 0], [7, -1]):
         with pytest.raises(ValueError, match="row lengths"):
             run_block(w, [1, 2, 3, 4, 5, 6], cache, row_lens=bad)
@@ -313,12 +302,40 @@ def test_run_block_looks_up_the_rope_factors_once(monkeypatch, n_layers):
     monkeypatch.setattr(tk, "_rope_table", lambda *a: lookups.append(a) or table(*a))
     cfg = dataclasses.replace(DESK_CONFIG, n_layers=n_layers)
     w = init_model(cfg, seed=0)
-    cache = KVCache.for_config(cfg, rows=2)
+    cache = KVCache.for_config(cfg, 4, rows=2)
     run_block(w, [1, 2, 3, 4, 5], cache, row_lens=[3, 2])       # prefill, ragged rows
     run_block(w, [6, 7], cache, row_lens=[1, 1])                # one decode step per row
-    one = KVCache.for_config(cfg)
+    one = KVCache.for_config(cfg, 1)
     run_block(w, [8], one)
     assert len(lookups) == 3
+
+
+def test_run_block_claims_each_block_with_one_append(monkeypatch):
+    claims = []
+    append = KVCache.append_block
+    monkeypatch.setattr(KVCache, "append_block",
+                        lambda self, counts: claims.append(list(counts)) or append(self, counts))
+    w = init_model(DESK_CONFIG, seed=0)
+    cache = KVCache.for_config(DESK_CONFIG, 5, rows=3)
+    run_block(w, [1, 2, 3, 4, 5], cache, row_lens=[3, 0, 2])    # prefill, ragged rows
+    run_block(w, [6, 7, 8], cache, row_lens=[1, 1, 1])          # one decode step per row
+    run_block(w, [9], KVCache.for_config(DESK_CONFIG, 1))
+    assert claims == [[3, 0, 2], [1, 1, 1], [1]]
+
+
+def test_a_failed_block_leaves_the_row_lengths_as_they_were():
+    def tap(layer, point, act):
+        if layer == 1:
+            raise RuntimeError("tap failed")
+
+    w = init_model(DESK_CONFIG, seed=0)
+    cache = KVCache.for_config(DESK_CONFIG, 6, rows=2)
+    run_block(w, [1, 2, 3], cache, row_lens=[2, 1])
+    with pytest.raises(RuntimeError, match="tap failed"):
+        run_block(w, [4, 5, 6], cache, tap=tap, row_lens=[1, 2])
+    assert cache.row_lens == [2, 1]
+    run_block(w, [4, 5, 6], cache, row_lens=[1, 2])
+    assert cache.row_lens == [3, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +350,8 @@ def test_causality_future_tokens_do_not_change_past_logits():
     variant[7] = (variant[7] + 13) % DESK_CONFIG.vocab_size
     variant[9] = (variant[9] + 29) % DESK_CONFIG.vocab_size
 
-    h1 = run_block(w, tokens, KVCache.for_config(DESK_CONFIG))
-    h2 = run_block(w, variant, KVCache.for_config(DESK_CONFIG))
+    h1 = run_block(w, tokens, KVCache.for_config(DESK_CONFIG, len(tokens)))
+    h2 = run_block(w, variant, KVCache.for_config(DESK_CONFIG, len(variant)))
     logits1 = lm_logits(w, h1).numpy()
     logits2 = lm_logits(w, h2).numpy()
     np.testing.assert_array_equal(logits1[:7], logits2[:7])
@@ -347,8 +364,8 @@ def test_permuting_prompt_tokens_changes_last_logits():
     swapped = list(tokens)
     swapped[2], swapped[5] = swapped[5], swapped[2]
     assert swapped != tokens
-    _, a, _ = forward_prefill(w, tokens, KVCache.for_config(DESK_CONFIG))
-    _, b, _ = forward_prefill(w, swapped, KVCache.for_config(DESK_CONFIG))
+    _, a, _ = forward_prefill(w, tokens, KVCache.for_config(DESK_CONFIG, len(tokens)))
+    _, b, _ = forward_prefill(w, swapped, KVCache.for_config(DESK_CONFIG, len(swapped)))
     assert not (a.numpy() == b.numpy()).all()
 
 
@@ -371,7 +388,7 @@ def test_forward_matches_independent_reference():
     for seed in range(3):
         w = init_model(TINY_CONFIG, seed=seed, dtype=np.float64)
         tokens = np.random.default_rng(seed).integers(0, TINY_CONFIG.vocab_size, 6)
-        hidden = run_block(w, tokens, KVCache.for_config(TINY_CONFIG, dtype=np.float64))
+        hidden = run_block(w, tokens, KVCache.for_config(TINY_CONFIG, tokens.size, dtype=np.float64))
         logits = lm_logits(w, hidden).numpy()
         ref_logits, _ = ref_forward(w, tokens)
         assert np.abs(logits - ref_logits).max() < 1e-9
@@ -381,7 +398,7 @@ def test_forward_is_finite_on_trained_scale_inputs():
     w = init_model(DESK_CONFIG, seed=0)
     for lw in w.layers:
         lw.w_gate.data *= 20  # push activations; outputs must stay finite
-    hidden = run_block(w, [1, 2, 3, 4], KVCache.for_config(DESK_CONFIG))
+    hidden = run_block(w, [1, 2, 3, 4], KVCache.for_config(DESK_CONFIG, 4))
     assert np.isfinite(hidden.numpy()).all()
 
 

@@ -118,7 +118,7 @@ def test_scores_equal_the_formula_over_every_kept_activation():
         def keep(li, point, act, shape=batch.shape):
             kept.setdefault((li, point), []).append(act.reshape(shape + act.shape[1:]).copy())
 
-        cache = KVCache.for_config(TINY_CONFIG, rows=len(batch))
+        cache = KVCache.for_config(TINY_CONFIG, 6, rows=len(batch))
         run_block(w, batch.reshape(-1), cache, tap=keep, row_lens=[6] * len(batch))
 
     def reference_score(li, point):

@@ -171,7 +171,7 @@ def per_row_loss(prefill_w, w, batch):
     for b in range(batch.size):
         m, n = int(batch.prefill_lens[b]), int(batch.row_lengths[b])
         ids = batch.token_ids[b, :n]
-        cache = KVCache.for_config(w.config, dtype=w.token_embedding.dtype)
+        cache = KVCache.for_config(w.config, n, dtype=w.token_embedding.dtype)
         lo = 0 if prefill_w is None else m - 1
         if lo > 0:
             run_block(prefill_w, ids[:lo], cache)
