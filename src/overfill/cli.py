@@ -26,7 +26,7 @@ from .corpus import (TASK_KINDS, ChatExample, Tokenizer, format_chat, gen_tasks,
                      load_dataset, pack_calibration_batches, save_dataset)
 from .engine import MODES, GenParams, evaluate_exact_match, generate
 from .errors import ConfigError, DataError
-from .model import DESK_CONFIG, ModelConfig, check_handoff, init_model
+from .model import DESK_CONFIG, ModelConfig, init_model
 from .perfmodel import (HardwareSpec, param_count, reference_geometries, reference_geometry,
                         roofline_estimate, write_cost_csv)
 from .pruner import PruneConfig, compute_pruned_dims, prune_pipeline
@@ -51,8 +51,7 @@ class _Parser(argparse.ArgumentParser):
 
 _NUM = (int, float)
 # Accepted JSON types for each annotation of a config dataclass field.
-_FIELD_TYPES = {"int": int, "float": _NUM, "bool": bool,
-                "Optional[int]": (int, type(None))}
+_FIELD_TYPES = {"int": int, "float": _NUM, "bool": bool}
 
 
 def _section(defaults) -> dict:
@@ -89,7 +88,6 @@ RUN_SCHEMA = {
         "batch": (int, 1),
         "hardware": _section(HardwareSpec()),
         "roofline_full_geometry": ((str, type(None)), None),
-        "roofline_pruned_geometry": ((str, type(None)), None),
     },
 }
 
@@ -125,38 +123,10 @@ def _validate_section(schema: dict, doc, pointer: str, errors: list) -> dict:
     return out
 
 
-def _geometry(spec: Optional[str]) -> Optional[ModelConfig]:
-    """None, a bundled reference geometry by name, or a model config file."""
-    if spec is None:
-        return None
-    return reference_geometry(spec) if spec in reference_geometries() else load_config(spec)
-
-
 def _cut(full: ModelConfig, pcfg: PruneConfig) -> ModelConfig:
     """The geometry the prune ratios leave of `full`."""
     d_kept, i_kept = compute_pruned_dims(full.hidden_dim, full.intermediate_dim, pcfg)
     return dataclasses.replace(full, hidden_dim=d_kept, intermediate_dim=i_kept)
-
-
-def _resolve_roofline_pair(cfg: dict, errors: list) -> None:
-    """Check that the prune ratios leave channels of the model section (what
-    `prune` cuts), and set bench.roofline_full_geometry and
-    roofline_pruned_geometry to the pair `roofline` estimates: the model
-    section when no full geometry is given, the full one cut by the prune
-    ratios when no pruned one is. The pair must share a cache."""
-    b, model, pcfg = cfg["bench"], cfg["model"], cfg["prune"]
-    ptr = "/prune"  # what the next failure is reported against
-    try:
-        _cut(model, pcfg)
-        ptr = "/bench/roofline_full_geometry"
-        full = b["roofline_full_geometry"] or model
-        pruned = b["roofline_pruned_geometry"] or _cut(full, pcfg)
-        ptr = "/bench/roofline_pruned_geometry"
-        check_handoff(full, pruned)
-    except ConfigError as exc:
-        errors.append(f"{ptr}: {exc}")
-        return
-    b["roofline_full_geometry"], b["roofline_pruned_geometry"] = full, pruned
 
 
 def load_run_config(path: str, seed: Optional[int] = None) -> dict:
@@ -164,9 +134,9 @@ def load_run_config(path: str, seed: Optional[int] = None) -> dict:
     the file's. Values are range-checked once their types are right, and the
     `model`, `prune`, `gen` and `bench/hardware` sections come back as the
     ModelConfig, PruneConfig, GenParams and HardwareSpec built from them.
-    `bench/roofline_full_geometry` and `roofline_pruned_geometry` come back
-    as the ModelConfig pair that `roofline` estimates (see
-    _resolve_roofline_pair)."""
+    `bench/roofline_full_geometry` comes back as the ModelConfig whose cut
+    `roofline` estimates: the model section when the key is unset. The
+    prune ratios must leave channels of both it and the model section."""
     errors: list[str] = []
     cfg = _validate_section(RUN_SCHEMA, read_json_object(path, "run config"), "", errors)
     if seed is not None:
@@ -183,13 +153,22 @@ def load_run_config(path: str, seed: Optional[int] = None) -> dict:
                 parent[key] = spec(**parent[key])
             except ConfigError as exc:
                 errors.append(f"{ptr}: {exc}")
-        for key in ("roofline_full_geometry", "roofline_pruned_geometry"):
-            try:
-                b[key] = _geometry(b[key])
-            except (ConfigError, DataError) as exc:
-                errors.append(f"/bench/{key}: {exc}")
-        if not errors:  # every section object and roofline geometry was built
-            _resolve_roofline_pair(cfg, errors)
+        spec = b["roofline_full_geometry"]
+        try:  # the model section, a bundled geometry by name, or a model config file
+            b["roofline_full_geometry"] = (
+                cfg["model"] if spec is None
+                else reference_geometry(spec) if spec in reference_geometries()
+                else load_config(spec))
+        except (ConfigError, DataError) as exc:
+            errors.append(f"/bench/roofline_full_geometry: {exc}")
+        if not errors:  # every section object and the roofline geometry was built
+            for ptr, model in (("/prune", cfg["model"]),
+                               ("/bench/roofline_full_geometry", b["roofline_full_geometry"])):
+                try:
+                    _cut(model, cfg["prune"])
+                except ConfigError as exc:
+                    errors.append(f"{ptr}: {exc}")
+                    break
         # The step counts and batch_size are checked by run_training: --steps
         # can replace a step count, and gen-data never reads them.
         t = cfg["train"]
@@ -351,7 +330,7 @@ def cmd_eval(args, cfg: dict) -> int:
     for kind in kinds:
         examples = load_dataset(_require(run_dir / "data" / f"eval_{kind}.jsonl",
                                          f"eval data for {kind}"))
-        acc = evaluate_exact_match(prefill_w, decode_w, examples, tok, seed=cfg["seed"])
+        acc = evaluate_exact_match(prefill_w, decode_w, examples, tok)
         results[kind] = {"exact_match": acc, "n": len(examples)}
         print(f"eval[{args.mode}] {kind}: exact match {acc * 100:.1f}% ({len(examples)} examples)")
     out = run_dir / f"eval_{args.mode}.json"
@@ -372,12 +351,10 @@ def cmd_param_count(args, cfg_unused) -> int:
 def cmd_roofline(args, cfg: dict) -> int:
     run_dir = Path(args.out)
     b = cfg["bench"]
-    reports = []
-    for mode in MODES:
-        for n in b["gen_lens"]:
-            reports.append(roofline_estimate(b["hardware"], b["roofline_full_geometry"],
-                                             b["roofline_pruned_geometry"],
-                                             b["prompt_len"], n, b["batch"], mode))
+    full = b["roofline_full_geometry"]
+    pruned = _cut(full, cfg["prune"])
+    reports = [roofline_estimate(b["hardware"], full, pruned, b["prompt_len"], n, b["batch"], mode)
+               for mode in MODES for n in b["gen_lens"]]
     write_cost_csv(run_dir / "roofline.csv", reports)
     print(f"roofline: wrote {len(reports)} rows to roofline.csv")
     return 0

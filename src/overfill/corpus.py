@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import random
 import string
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -162,9 +162,7 @@ def save_dataset(path, examples: Sequence[ChatExample], kind: str, seed: int) ->
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps({"kind": kind, "seed": seed, "count": len(examples)}) + "\n")
         for ex in examples:
-            f.write(json.dumps({"system": ex.system, "user": ex.user,
-                                "assistant": ex.assistant,
-                                "task_kind": ex.task_kind}) + "\n")
+            f.write(json.dumps(asdict(ex)) + "\n")
 
 
 def load_dataset(path) -> list[ChatExample]:
@@ -178,14 +176,17 @@ def load_dataset(path) -> list[ChatExample]:
             meta = json.loads(header)
             if not isinstance(meta, dict) or not {"kind", "seed", "count"} <= set(meta):
                 raise DataError(f"{path}: malformed dataset header: {header.strip()}")
+            if type(meta["count"]) is not int:  # bool is an int subclass, not a count
+                raise DataError(f"{path}: malformed dataset header: count must be an int, "
+                                f"got {meta['count']!r}")
             for line in f:
                 d = json.loads(line)
                 if not isinstance(d, dict):
                     raise DataError(f"{path}: malformed dataset line: expected an object")
-                fields = [d["system"], d["user"], d["assistant"], d["task_kind"]]
-                if not all(isinstance(v, str) for v in fields):
+                values = [d[fld.name] for fld in fields(ChatExample)]  # asdict's order
+                if not all(isinstance(v, str) for v in values):
                     raise DataError(f"{path}: malformed dataset line: expected string fields")
-                examples.append(ChatExample(*fields))
+                examples.append(ChatExample(*values))
         except (json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
             raise DataError(f"{path}: malformed dataset line: {exc}") from exc
     if len(examples) != meta["count"]:

@@ -108,10 +108,10 @@ def baseline_generate(w: Weights, prompt: Sequence[int], params: GenParams) -> l
     return generate(w, w, prompt, params)[0]
 
 
-def evaluate_exact_match(prefill_w: Weights, decode_w: Weights, examples, tok,
-                         seed: int = 0, slack: int = 8) -> float:
+def evaluate_exact_match(prefill_w: Weights, decode_w: Weights, examples, tok) -> float:
     """Greedy exact-match accuracy on chat examples: the emitted token
-    sequence (stopping at EOS) must equal the reference response plus EOS."""
+    sequence must equal the reference response plus EOS, so decoding stops
+    at EOS or at the reference's length, whichever comes first."""
     from .corpus import format_chat
 
     if not examples:
@@ -120,8 +120,7 @@ def evaluate_exact_match(prefill_w: Weights, decode_w: Weights, examples, tok,
     for ex in examples:
         ids, m = format_chat(ex, tok)
         ref = ids[m:]
-        params = GenParams(max_new_tokens=len(ref) + slack, temperature=0.0,
-                           seed=seed, stop_token=tok.eos)
+        params = GenParams(max_new_tokens=len(ref), stop_token=tok.eos)
         out, _ = generate(prefill_w, decode_w, ids[:m], params)
         hits += int(out == ref)
     return hits / len(examples)

@@ -110,8 +110,7 @@ _REFDATA = resources.files("overfill") / "refdata"
 
 
 def reference_geometries() -> tuple[str, ...]:
-    """Short names of the bundled geometries; `<parent>_pNNN` is the parent
-    with the fraction 0.NNN of its hidden and FFN channels pruned away."""
+    """Short names of the bundled released-model geometries."""
     return tuple(sorted(f.name.removesuffix(".json") for f in _REFDATA.iterdir()
                         if f.name.endswith(".json")))
 

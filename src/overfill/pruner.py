@@ -31,7 +31,6 @@ class PruneConfig:
     calib_batches: int = 8
     calib_rows: int = 16
     calib_seq_len: int = 128
-    hardware_round_to: Optional[int] = None
 
     def __post_init__(self):
         for name in ("p_hidden", "p_intermediate"):
@@ -40,8 +39,6 @@ class PruneConfig:
                 raise ConfigError(f"{name} must be in [0, 1), got {v}")
         if self.calib_batches <= 0 or self.calib_rows <= 0 or self.calib_seq_len <= 0:
             raise ConfigError("calibration dimensions must be positive")
-        if self.hardware_round_to is not None and self.hardware_round_to <= 0:
-            raise ConfigError("hardware_round_to must be positive when set")
 
 
 @dataclass
@@ -110,13 +107,9 @@ def identity_selection(config: ModelConfig) -> ChannelSelection:
 
 def compute_pruned_dims(hidden_dim: int, intermediate_dim: int,
                         cfg: PruneConfig) -> tuple[int, int]:
-    """Retained widths: floor((1 - ratio) * dim), optionally rounded down
-    to a hardware-friendly multiple."""
+    """Retained widths: floor((1 - ratio) * dim)."""
     d_kept = math.floor((1.0 - cfg.p_hidden) * hidden_dim)
     i_kept = math.floor((1.0 - cfg.p_intermediate) * intermediate_dim)
-    if cfg.hardware_round_to:
-        d_kept -= d_kept % cfg.hardware_round_to
-        i_kept -= i_kept % cfg.hardware_round_to
     if d_kept < 1 or i_kept < 1:
         raise ConfigError(
             f"pruned dims must be >= 1, got hidden {d_kept}, intermediate {i_kept}")

@@ -213,14 +213,14 @@ RUN_CONFIG_KEYS = """
 /model/head_dim /model/intermediate_dim /model/norm_eps /model/rope_theta
 /model/tied_embeddings
 /prune/p_hidden /prune/p_intermediate /prune/calib_batches /prune/calib_rows
-/prune/calib_seq_len /prune/hardware_round_to
+/prune/calib_seq_len
 /train/base_lr /train/warmup_ratio /train/batch_size /train/max_seq_len /train/base_steps
 /train/overfill_steps /train/checkpoint_every /train/kinds /train/train_per_kind
 /train/eval_per_kind
 /gen/max_new_tokens /gen/temperature
 /bench/prompt_len /bench/gen_lens /bench/batch /bench/hardware/peak_flops
 /bench/hardware/mem_bandwidth /bench/hardware/bytes_per_param
-/bench/roofline_full_geometry /bench/roofline_pruned_geometry
+/bench/roofline_full_geometry
 """.split()
 
 
@@ -234,7 +234,7 @@ def _leaf_keys(schema, pointer=""):
 
 def test_run_config_keys_match_the_table():
     assert list(_leaf_keys(cli.RUN_SCHEMA)) == RUN_CONFIG_KEYS
-    assert len(RUN_CONFIG_KEYS) == 37
+    assert len(RUN_CONFIG_KEYS) == 35
 
 
 @pytest.mark.parametrize("make", [
@@ -263,14 +263,15 @@ def test_run_config_defaults_match_the_config_classes(tmp_path):
 
 
 def test_run_config_accepts_ints_for_floats_and_none_where_optional(tmp_path):
-    cfg = load(tmp_path, {"model": {"rope_theta": 500000},
-                          "prune": {"p_hidden": 0, "hardware_round_to": 8},
+    cfg = load(tmp_path, {"model": {"rope_theta": 500000}, "prune": {"p_hidden": 0},
                           "bench": {"hardware": {"peak_flops": 10}}})
     assert cfg["model"].rope_theta == 500000
-    assert cfg["prune"].p_hidden == 0 and cfg["prune"].hardware_round_to == 8
+    assert cfg["prune"].p_hidden == 0
     assert cfg["bench"]["hardware"].peak_flops == 10
-    cfg = load(tmp_path, {"prune": {"hardware_round_to": None}})
-    assert cfg["prune"].hardware_round_to is None
+    # An unset roofline geometry is the model section.
+    cfg = load(tmp_path, {"model": {"n_layers": 2}, "bench": {"roofline_full_geometry": None}})
+    assert cfg["bench"]["roofline_full_geometry"] == cfg["model"]
+    assert cfg["model"] == dataclasses.replace(DESK_CONFIG, n_layers=2)
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -282,8 +283,8 @@ def test_run_config_accepts_ints_for_floats_and_none_where_optional(tmp_path):
     ({"model": {"norm_eps": False}}, "/model/norm_eps: expected int or float, got bool"),
     ({"model": {"tied_embeddings": 1}}, "/model/tied_embeddings: expected bool, got int"),
     ({"prune": {"p_hidden": "0.5"}}, "/prune/p_hidden: expected int or float, got str"),
-    ({"prune": {"hardware_round_to": 8.0}},
-     "/prune/hardware_round_to: expected int or NoneType, got float"),
+    ({"bench": {"roofline_pruned_geometry": "llama32_1b"}},
+     "/bench/roofline_pruned_geometry: unknown key"),
     ({"prune": {"calib_rows": True}}, "/prune/calib_rows: expected int, got bool"),
     ({"bench": {"hardware": {"bytes_per_param": 4.0}}},
      "/bench/hardware/bytes_per_param: expected int, got float"),
@@ -317,6 +318,7 @@ def test_run_config_accepts_ints_for_floats_and_none_where_optional(tmp_path):
     ({"train": {"kinds": ["copy", "reverse", "copy"]}}, "/train/kinds: expected a non-empty "
      "list without repeats, got ['copy', 'reverse', 'copy']"),
     ({"bench": {"gen_lens": []}}, "/bench/gen_lens: expected a non-empty list"),
+    ({"prune": {"hardware_round_to": 8}}, "/prune/hardware_round_to: unknown key"),
 ])
 def test_run_config_errors_name_the_json_pointer(tmp_path, doc, message):
     with pytest.raises(DataError) as info:
@@ -382,7 +384,7 @@ def test_bad_generation_params_exit_2(run_dir, capsys, gen, message):
      "/bench/hardware: hardware spec values must be positive"),
     ({"bench": {"prompt_len": 0}}, (), "/bench/prompt_len: expected >= 1, got 0"),
     ({"bench": {"batch": 0}}, (), "/bench/batch: expected >= 1, got 0"),
-    ({"prune": {"hardware_round_to": 1024}}, (), "/prune: pruned dims must be >= 1"),
+    ({"prune": {"hardware_round_to": 1024}}, (), "/prune/hardware_round_to: unknown key"),
     ({"prune": {"p_hidden": 0.99}}, (), "/prune: pruned dims must be >= 1"),
     ({"bench": {"roofline_full_geometry": "nope.json"}}, (),
      "/bench/roofline_full_geometry: model config not found"),
@@ -418,7 +420,10 @@ def test_bench_is_not_a_subcommand(run_dir, capsys):
     # "\udcff" is written as the lone byte 0xff, which is not UTF-8.
     [json.dumps({"kind": "copy", "seed": 0, "count": 1}),
      '{"system": "\udcff", "user": "a", "assistant": "a", "task_kind": "copy"}'],
-], ids=["header", "example", "field-type", "not-utf8"])
+    *[[json.dumps({"kind": "copy", "seed": 0, "count": count}),
+       json.dumps({"system": "a", "user": "a", "assistant": "a", "task_kind": "copy"})]
+      for count in ("1", True)],
+], ids=["header", "example", "field-type", "not-utf8", "count-str", "count-bool"])
 def test_dataset_line_that_is_not_an_object_exits_2(run_dir, capsys, lines):
     (run_dir / "data").mkdir()
     text = "\n".join(lines) + "\n"
@@ -564,19 +569,22 @@ def _halved(cfg):
                                intermediate_dim=cfg.intermediate_dim // 2)
 
 
-@pytest.mark.parametrize("full_spec, pruned_spec, full, pruned", [
-    (None, None, DESK_CONFIG, _halved(DESK_CONFIG)),
-    ("llama32_3b", "llama32_3b_p045", reference_geometry("llama32_3b"),
-     reference_geometry("llama32_3b_p045")),
-    ("file", None, TWO_LAYER, _halved(TWO_LAYER)),
+LLAMA32_3B = reference_geometry("llama32_3b")
+
+
+@pytest.mark.parametrize("full_spec, prune, full, pruned", [
+    (None, {}, DESK_CONFIG, _halved(DESK_CONFIG)),
+    # 3B-to-1B: Llama-3.2-3B cut at 0.45 leaves about 1.24B parameters.
+    ("llama32_3b", {"p_hidden": 0.45, "p_intermediate": 0.45}, LLAMA32_3B,
+     dataclasses.replace(LLAMA32_3B, hidden_dim=1689, intermediate_dim=4505)),
+    ("file", {}, TWO_LAYER, _halved(TWO_LAYER)),
 ], ids=["derived", "reference", "config-file"])
-def test_roofline_writes_a_row_per_mode_and_length(tmp_path, full_spec, pruned_spec,
-                                                   full, pruned):
+def test_roofline_writes_a_row_per_mode_and_length(tmp_path, full_spec, prune, full, pruned):
     if full_spec == "file":
         full_spec = str(tmp_path / "full.config.json")
         save_config(full_spec, full)
-    bench = {"roofline_full_geometry": full_spec, "roofline_pruned_geometry": pruned_spec}
-    (tmp_path / "run.json").write_text(json.dumps({"bench": bench}))
+    doc = {"prune": prune, "bench": {"roofline_full_geometry": full_spec}}
+    (tmp_path / "run.json").write_text(json.dumps(doc))
     assert run_cli(tmp_path, "roofline") == 0
     rows = list(csv.reader(open(tmp_path / "roofline.csv", newline="")))
     assert rows[0] == ["mode", "M", "N", "batch", "prefill_s", "decode_s", "total_s",
@@ -585,22 +593,6 @@ def test_roofline_writes_a_row_per_mode_and_length(tmp_path, full_spec, pruned_s
     assert [(r[0], r[2], r[7]) for r in rows[1:]] == [
         (mode, str(n), str(param_count(decoder[mode])))
         for mode in ("full", "pruned", "overfill") for n in (32, 64, 128)]
-
-
-@pytest.mark.parametrize("full_spec, pruned_spec", [("llama32_3b", "llama32_1b"),
-                                                    ("llama32_3b", "llama31_8b")],
-                         ids=["3b-1b", "3b-8b"])
-def test_roofline_rejects_a_pair_that_cannot_share_a_cache(tmp_path, capsys, full_spec,
-                                                          pruned_spec):
-    bench = {"roofline_full_geometry": full_spec, "roofline_pruned_geometry": pruned_spec}
-    (tmp_path / "run.json").write_text(json.dumps({"bench": bench}))
-    assert run_cli(tmp_path, "roofline") == 2
-    err = capsys.readouterr().err
-    assert "cache geometry mismatch" in err and "Traceback" not in err
-    assert not (tmp_path / "roofline.csv").exists()
-    assert run_cli(tmp_path, "gen-data") == 2
-    assert "/bench/roofline_pruned_geometry: cache geometry mismatch" in capsys.readouterr().err
-    assert not (tmp_path / "data").exists()
 
 
 def test_gen_data_rejects_a_roofline_geometry_the_prune_ratios_empty(tmp_path, capsys):

@@ -197,3 +197,18 @@ def test_evaluate_exact_match_bounds(full_w):
     examples = gen_tasks("copy", 0, 5)
     acc = evaluate_exact_match(full_w, full_w, examples, tok)
     assert 0.0 <= acc <= 1.0
+
+
+def test_evaluate_exact_match_decodes_no_more_tokens_than_the_reference(full_w, monkeypatch):
+    # An output longer than the reference plus EOS cannot match it.
+    tok = Tokenizer()
+    examples = gen_tasks("copy", 0, 3)
+    budgets = []
+
+    def spy(prefill_w, decode_w, prompt, params):
+        budgets.append((params.max_new_tokens, params.stop_token))
+        return generate(prefill_w, decode_w, prompt, params)
+
+    monkeypatch.setattr(engine, "generate", spy)
+    evaluate_exact_match(full_w, full_w, examples, tok)
+    assert budgets == [(len(ex.assistant) + 1, tok.eos) for ex in examples]

@@ -1,12 +1,15 @@
 import csv
 import dataclasses
+import json
 
 import pytest
 
+from overfill import cli
 from overfill.errors import DataError
 from overfill.model import DESK_CONFIG, check_handoff
 from overfill.perfmodel import (CostReport, HardwareSpec, param_count, reference_geometries,
                                 reference_geometry, roofline_estimate, write_cost_csv)
+from overfill.pruner import PruneConfig, compute_pruned_dims
 
 from helpers import TINY_CONFIG
 
@@ -29,20 +32,26 @@ def test_param_count_known_values(cfg, count):
 @pytest.mark.parametrize("name", reference_geometries())
 def test_every_reference_geometry_loads_and_each_pruned_one_fits_its_parent(name):
     cfg = reference_geometry(name)
-    parent, _, ratio = name.rpartition("_p")
-    if parent:
-        assert ratio.isdigit() and parent in reference_geometries()
-        check_handoff(reference_geometry(parent), cfg)
-        assert param_count(cfg) < param_count(reference_geometry(parent))
+    d, i = compute_pruned_dims(cfg.hidden_dim, cfg.intermediate_dim, PruneConfig(0.45, 0.45))
+    pruned = dataclasses.replace(cfg, hidden_dim=d, intermediate_dim=i)
+    check_handoff(cfg, pruned)
+    assert param_count(pruned) < param_count(cfg)
 
 
-def test_reference_geometries_include_the_papers_pairings():
-    # 3B-to-1B and 8B-to-3B: each pruned decoder near the smaller released model.
-    assert len(reference_geometries()) == 7
-    assert param_count(reference_geometry("llama32_3b_p045")) == 1_243_288_101
-    assert param_count(reference_geometry("llama31_8b_p043")) == 3_194_482_782
+def test_reference_geometries_include_the_papers_pairings(tmp_path):
+    # 3B-to-1B and 8B-to-3B: the prune ratios cut each parent to a decoder
+    # near the smaller released model.
+    assert reference_geometries() == ("llama31_8b", "llama32_1b", "llama32_3b")
+    run = tmp_path / "run.json"
+    for parent, ratio, params in (("llama32_3b", 0.45, 1_243_288_101),
+                                  ("llama31_8b", 0.43, 3_194_482_782)):
+        run.write_text(json.dumps({"prune": {"p_hidden": ratio, "p_intermediate": ratio},
+                                   "bench": {"roofline_full_geometry": parent}}))
+        assert cli.main(["roofline", "--config", str(run), "--out", str(tmp_path)]) == 0
+        rows = list(csv.DictReader(open(tmp_path / "roofline.csv", newline="")))
+        assert {r["params"] for r in rows if r["mode"] == "overfill"} == {str(params)}
     with pytest.raises(DataError, match="unknown reference geometry"):
-        reference_geometry("llama32_3b_p050")
+        reference_geometry("llama32_3b_p045")
 
 
 @pytest.mark.parametrize("mode, pre, dec", [("full", TINY_CONFIG, TINY_CONFIG),

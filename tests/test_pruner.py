@@ -47,9 +47,9 @@ def test_intermediate_dims_match_published_configs(dim, ratio, expected):
 
 
 def test_pruned_dims_floor_and_rounding():
+    # Widths round down, never to the nearest: 5.5 keeps 5, 1689.6 keeps 1689.
     assert compute_pruned_dims(10, 10, pc(0.45)) == (5, 5)
-    cfg = PruneConfig(p_hidden=0.45, p_intermediate=0.45, hardware_round_to=16)
-    assert compute_pruned_dims(3072, 8192, cfg) == (1680, 4496)
+    assert compute_pruned_dims(3072, 8192, pc(0.45)) == (1689, 4505)
 
 
 def test_pruned_dims_reject_empty_result():
