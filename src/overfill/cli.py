@@ -10,10 +10,8 @@ Exit codes: 0 success, 1 usage error, 2 data or format error.
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -22,15 +20,15 @@ import numpy as np
 
 from .checkpoint import (load_checkpoint, load_config, read_json_object, save_checkpoint,
                          save_config)
-from .corpus import (TASK_KINDS, ChatExample, Tokenizer, format_chat, gen_tasks,
+from .corpus import (ChatExample, Tokenizer, format_chat, gen_tasks,
                      load_dataset, pack_calibration_batches, save_dataset)
 from .engine import MODES, GenParams, evaluate_exact_match, generate
 from .errors import ConfigError, DataError
 from .model import DESK_CONFIG, ModelConfig, init_model
-from .perfmodel import (HardwareSpec, param_count, reference_geometries, reference_geometry,
+from .perfmodel import (BenchConfig, param_count, reference_geometries, reference_geometry,
                         roofline_estimate, write_cost_csv)
 from .pruner import PruneConfig, compute_pruned_dims, prune_pipeline
-from .trainer import run_training, write_training_log
+from .trainer import TrainConfig, run_training, write_training_log
 
 EVAL_SEED_OFFSET = 104729  # keeps held-out example streams away from training ones
 
@@ -45,82 +43,49 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# Run configuration: schema with defaults, unknown keys rejected, errors
-# reported with a JSON pointer.
+# Run configuration: a seed and one config object per section. A section is
+# its default below with the fields the file sets; each class checks its own
+# fields, and every error names its JSON pointer.
 # ---------------------------------------------------------------------------
 
-_NUM = (int, float)
-# Accepted JSON types for each annotation of a config dataclass field.
-_FIELD_TYPES = {"int": int, "float": _NUM, "bool": bool}
-
-
-def _section(defaults) -> dict:
-    """Schema rules for a config dataclass: each field's type, with the
-    value it has in `defaults` as its default."""
-    return {f.name: (_FIELD_TYPES[f.type], getattr(defaults, f.name))
-            for f in dataclasses.fields(defaults)}
-
-
-# The run config schema: key -> (accepted types, default) or a section.
-RUN_SCHEMA = {
-    "seed": (int, 0),
-    "model": _section(DESK_CONFIG),
-    "prune": _section(PruneConfig(p_hidden=0.5, p_intermediate=0.5)),
-    "train": {
-        "base_lr": (_NUM, 1e-3),
-        "warmup_ratio": (_NUM, 0.01),
-        "batch_size": (int, 16),
-        "max_seq_len": (int, 96),
-        "base_steps": (int, 600),
-        "overfill_steps": (int, 300),
-        "checkpoint_every": (int, 0),
-        "kinds": (list, list(TASK_KINDS)),
-        "train_per_kind": (int, 2000),
-        "eval_per_kind": (int, 100),
-    },
-    "gen": {
-        "max_new_tokens": (int, 32),
-        "temperature": (_NUM, 0.0),
-    },
-    "bench": {
-        "prompt_len": (int, 64),
-        "gen_lens": (list, [32, 64, 128]),
-        "batch": (int, 1),
-        "hardware": _section(HardwareSpec()),
-        "roofline_full_geometry": ((str, type(None)), None),
-    },
+RUN_SECTIONS = {
+    "model": DESK_CONFIG,
+    "prune": PruneConfig(p_hidden=0.5, p_intermediate=0.5),
+    "train": TrainConfig(),
+    "gen": GenParams(max_new_tokens=32),
+    "bench": BenchConfig(),
 }
 
 
-def _validate_section(schema: dict, doc, pointer: str, errors: list) -> dict:
+def section_keys(default) -> list[str]:
+    """The keys a run config section may set: every field of its class, but
+    for a generation request's seed and stop token, which are the run's seed
+    and the tokenizer's EOS."""
+    return [f.name for f in dataclasses.fields(default)
+            if not (isinstance(default, GenParams) and f.name in ("seed", "stop_token"))]
+
+
+def _section(default, doc, pointer: str, errors: list):
+    """`default` with the fields the JSON object `doc` sets (arrays as
+    tuples), or None if that cannot be built. Errors go to `errors`."""
     if not isinstance(doc, dict):
-        errors.append(f"{pointer or '/'}: expected an object")
-        return {}
-    out = {}
-    for key, value in doc.items():
-        if key not in schema:
-            errors.append(f"{pointer}/{key}: unknown key")
-    for key, rule in schema.items():
-        ptr = f"{pointer}/{key}"
-        if isinstance(rule, dict):
-            out[key] = _validate_section(rule, doc.get(key, {}), ptr, errors)
-            continue
-        expected, default = rule
-        if key not in doc:
-            out[key] = copy.deepcopy(default)
-            continue
+        errors.append(f"{pointer}: expected an object")
+        return None
+    keys = section_keys(default)
+    errors.extend(f"{pointer}/{key}: unknown key" for key in doc if key not in keys)
+    values = {}
+    for key in [k for k in keys if k in doc]:
         value = doc[key]
-        types = expected if isinstance(expected, tuple) else (expected,)
-        # bool is a subclass of int, but true/false is not a number here.
-        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-            errors.append(f"{ptr}: expected {' or '.join(t.__name__ for t in types)}, "
-                          f"got {type(value).__name__}")
-            continue
-        if isinstance(value, float) and not math.isfinite(value):  # json reads NaN, Infinity
-            errors.append(f"{ptr}: expected a finite number, got {value}")
-            continue
-        out[key] = value
-    return out
+        if dataclasses.is_dataclass(getattr(default, key)):  # a nested section
+            value = _section(getattr(default, key), value, f"{pointer}/{key}", errors)
+            if value is None:
+                return None
+        values[key] = tuple(value) if isinstance(value, list) else value
+    try:
+        return dataclasses.replace(default, **values)
+    except ConfigError as exc:  # at the pointer of its field, or else of the section
+        errors.append(f"{pointer}/{exc}" if exc.field else f"{pointer}: {exc}")
+        return None
 
 
 def _cut(full: ModelConfig, pcfg: PruneConfig) -> ModelConfig:
@@ -130,69 +95,38 @@ def _cut(full: ModelConfig, pcfg: PruneConfig) -> ModelConfig:
 
 
 def load_run_config(path: str, seed: Optional[int] = None) -> dict:
-    """The run config with defaults filled in; `seed`, when given, replaces
-    the file's. Values are range-checked once their types are right, and the
-    `model`, `prune`, `gen` and `bench/hardware` sections come back as the
-    ModelConfig, PruneConfig, GenParams and HardwareSpec built from them.
-    `bench/roofline_full_geometry` comes back as the ModelConfig whose cut
-    `roofline` estimates: the model section when the key is unset. The
-    prune ratios must leave channels of both it and the model section."""
-    errors: list[str] = []
-    cfg = _validate_section(RUN_SCHEMA, read_json_object(path, "run config"), "", errors)
-    if seed is not None:
-        cfg["seed"] = seed
-    if not errors:
-        if cfg["seed"] < 0:
-            errors.append(f"/seed: expected >= 0, got {cfg['seed']}")
-        b = cfg["bench"]
-        for ptr, parent, key, spec in (("/gen", cfg, "gen", GenParams),
-                                       ("/model", cfg, "model", ModelConfig),
-                                       ("/prune", cfg, "prune", PruneConfig),
-                                       ("/bench/hardware", b, "hardware", HardwareSpec)):
-            try:
-                parent[key] = spec(**parent[key])
-            except ConfigError as exc:
-                errors.append(f"{ptr}: {exc}")
-        spec = b["roofline_full_geometry"]
+    """The run config: its `seed` (`seed`, when given, replaces the file's)
+    and the object each section of RUN_SECTIONS builds. `roofline_full` is
+    the ModelConfig that `bench.roofline_full_geometry` names, whose cut
+    `roofline` estimates: the model section when the key is unset. The prune
+    ratios must leave channels of both it and the model section."""
+    doc = read_json_object(path, "run config")
+    errors = [f"/{key}: unknown key" for key in doc
+              if key != "seed" and key not in RUN_SECTIONS]
+    cfg = {"seed": doc.get("seed", 0) if seed is None else seed}
+    try:  # the run seed seeds generation, so GenParams checks it
+        dataclasses.replace(RUN_SECTIONS["gen"], seed=cfg["seed"])
+    except ConfigError as exc:
+        errors.append(f"/{exc}")
+    for name, default in RUN_SECTIONS.items():
+        cfg[name] = _section(default, doc.get(name, {}), f"/{name}", errors)
+    if cfg["bench"] is not None:
+        spec = cfg["bench"].roofline_full_geometry
         try:  # the model section, a bundled geometry by name, or a model config file
-            b["roofline_full_geometry"] = (
+            cfg["roofline_full"] = (
                 cfg["model"] if spec is None
                 else reference_geometry(spec) if spec in reference_geometries()
                 else load_config(spec))
         except (ConfigError, DataError) as exc:
             errors.append(f"/bench/roofline_full_geometry: {exc}")
-        if not errors:  # every section object and the roofline geometry was built
-            for ptr, model in (("/prune", cfg["model"]),
-                               ("/bench/roofline_full_geometry", b["roofline_full_geometry"])):
-                try:
-                    _cut(model, cfg["prune"])
-                except ConfigError as exc:
-                    errors.append(f"{ptr}: {exc}")
-                    break
-        # The step counts and batch_size are checked by run_training: --steps
-        # can replace a step count, and gen-data never reads them.
-        t = cfg["train"]
-        for key, ok, want in (("base_lr", t["base_lr"] > 0, "> 0"),
-                              ("warmup_ratio", 0 <= t["warmup_ratio"] < 1, "in [0, 1)"),
-                              ("max_seq_len", t["max_seq_len"] >= 2, ">= 2"),
-                              ("checkpoint_every", t["checkpoint_every"] >= 0, ">= 0"),
-                              ("train_per_kind", t["train_per_kind"] >= 1, ">= 1"),
-                              ("eval_per_kind", t["eval_per_kind"] >= 1, ">= 1")):
-            if not ok:
-                errors.append(f"/train/{key}: expected {want}, got {t[key]}")
-        kinds = t["kinds"]
-        if not all(k in TASK_KINDS for k in kinds):
-            errors.append(f"/train/kinds: expected names from {list(TASK_KINDS)}, got {kinds}")
-        elif not kinds or len(set(kinds)) < len(kinds):
-            errors.append(f"/train/kinds: expected a non-empty list without repeats, got {kinds}")
-        for key in ("prompt_len", "batch"):
-            if b[key] < 1:
-                errors.append(f"/bench/{key}: expected >= 1, got {b[key]}")
-        lens = b["gen_lens"]
-        if not all(type(n) is int and n > 0 for n in lens):
-            errors.append(f"/bench/gen_lens: expected positive ints, got {lens}")
-        elif not lens:
-            errors.append("/bench/gen_lens: expected a non-empty list")
+    if not errors:  # every section object and the roofline geometry was built
+        for ptr, model in (("/prune", cfg["model"]),
+                           ("/bench/roofline_full_geometry", cfg["roofline_full"])):
+            try:
+                _cut(model, cfg["prune"])
+            except ConfigError as exc:
+                errors.append(f"{ptr}: {exc}")
+                break
     if errors:
         raise DataError("invalid run config: " + "; ".join(errors))
     return cfg
@@ -218,7 +152,7 @@ def _save_model(run_dir: Path, stem: str, weights) -> None:
 
 def _train_examples(cfg: dict, run_dir: Path):
     examples = []
-    for kind in cfg["train"]["kinds"]:
+    for kind in cfg["train"].kinds:
         path = _require(run_dir / "data" / f"train_{kind}.jsonl", f"training data for {kind}")
         examples.extend(load_dataset(path))
     if not examples:
@@ -233,10 +167,10 @@ def _train_examples(cfg: dict, run_dir: Path):
 
 def cmd_gen_data(args, cfg: dict) -> int:
     run_dir = Path(args.out)
-    seed = cfg["seed"]
-    for kind in cfg["train"]["kinds"]:
-        train = gen_tasks(kind, seed, cfg["train"]["train_per_kind"])
-        evalset = gen_tasks(kind, seed + EVAL_SEED_OFFSET, cfg["train"]["eval_per_kind"])
+    seed, t = cfg["seed"], cfg["train"]
+    for kind in t.kinds:
+        train = gen_tasks(kind, seed, t.train_per_kind)
+        evalset = gen_tasks(kind, seed + EVAL_SEED_OFFSET, t.eval_per_kind)
         save_dataset(run_dir / "data" / f"train_{kind}.jsonl", train, kind, seed)
         save_dataset(run_dir / "data" / f"eval_{kind}.jsonl", evalset, kind,
                      seed + EVAL_SEED_OFFSET)
@@ -247,15 +181,11 @@ def cmd_gen_data(args, cfg: dict) -> int:
 def _train(args, cfg: dict, prefill_w, w, tag: str, steps_key: str, data_seed: int) -> int:
     """Train w (behind prefill_w when given) for --steps, else the config's
     `steps_key` count, and save it under `tag`."""
-    steps = cfg["train"][steps_key] if args.steps is None else args.steps
+    steps = getattr(cfg["train"], steps_key) if args.steps is None else args.steps
     run_dir = Path(args.out)
-    t = cfg["train"]
     rows = run_training(
-        prefill_w, w, _train_examples(cfg, run_dir), Tokenizer(), steps=steps,
-        batch_size=t["batch_size"], max_seq_len=t["max_seq_len"],
-        base_lr=t["base_lr"], warmup_ratio=t["warmup_ratio"], data_seed=data_seed,
-        checkpoint_every=t["checkpoint_every"] or None,
-        checkpoint_fn=lambda s: _save_model(run_dir, f"{tag}_step{s}", w))
+        prefill_w, w, _train_examples(cfg, run_dir), Tokenizer(), cfg["train"], steps=steps,
+        data_seed=data_seed, checkpoint_fn=lambda s: _save_model(run_dir, f"{tag}_step{s}", w))
     _save_model(run_dir, tag, w)
     write_training_log(run_dir / f"logs_{tag}.csv", rows)
     print(f"{args.subcommand}: {steps} steps, final loss {rows[-1].loss:.4f} "
@@ -325,7 +255,7 @@ def cmd_eval(args, cfg: dict) -> int:
     run_dir = Path(args.out)
     tok = Tokenizer()
     prefill_w, decode_w = _decode_weights_for_mode(run_dir, args.mode)
-    kinds = [args.kind] if args.kind else cfg["train"]["kinds"]
+    kinds = [args.kind] if args.kind else cfg["train"].kinds
     results = {}
     for kind in kinds:
         examples = load_dataset(_require(run_dir / "data" / f"eval_{kind}.jsonl",
@@ -350,11 +280,10 @@ def cmd_param_count(args, cfg_unused) -> int:
 
 def cmd_roofline(args, cfg: dict) -> int:
     run_dir = Path(args.out)
-    b = cfg["bench"]
-    full = b["roofline_full_geometry"]
+    b, full = cfg["bench"], cfg["roofline_full"]
     pruned = _cut(full, cfg["prune"])
-    reports = [roofline_estimate(b["hardware"], full, pruned, b["prompt_len"], n, b["batch"], mode)
-               for mode in MODES for n in b["gen_lens"]]
+    reports = [roofline_estimate(b.hardware, full, pruned, b.prompt_len, n, b.batch, mode)
+               for mode in MODES for n in b.gen_lens]
     write_cost_csv(run_dir / "roofline.csv", reports)
     print(f"roofline: wrote {len(reports)} rows to roofline.csv")
     return 0

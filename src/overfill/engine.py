@@ -8,13 +8,13 @@ weights the two modes are bit-identical, not merely close.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .corpus import format_chat
+from .errors import ConfigError, DataError, check_ranges, check_types
 from .model import KVCache, Weights, check_handoff, decode_step, forward_prefill
 
 
@@ -40,12 +40,11 @@ class GenParams:
     stop_token: Optional[int] = None
 
     def __post_init__(self):
-        if self.max_new_tokens < 0:
-            raise ConfigError(f"max_new_tokens must be >= 0, got {self.max_new_tokens}")
-        if not math.isfinite(self.temperature):
-            raise ConfigError(f"temperature must be finite, got {self.temperature}")
-        if self.temperature < 0:
-            raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
+        check_types(self)
+        check_ranges(self, (("max_new_tokens", self.max_new_tokens >= 0, ">= 0"),
+                            ("temperature", self.temperature >= 0, ">= 0"),
+                            # the key range of make_rng's Philox
+                            ("seed", 0 <= self.seed < 2**128, "in [0, 2**128)")))
 
 
 def sample(logits, temperature: float, rng: np.random.Generator) -> int:
@@ -112,8 +111,6 @@ def evaluate_exact_match(prefill_w: Weights, decode_w: Weights, examples, tok) -
     """Greedy exact-match accuracy on chat examples: the emitted token
     sequence must equal the reference response plus EOS, so decoding stops
     at EOS or at the reference's length, whichever comes first."""
-    from .corpus import format_chat
-
     if not examples:
         raise DataError("evaluation set is empty")
     hits = 0

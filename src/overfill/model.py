@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_ranges, check_types
 from . import tensor as tk
 from .tensor import Tensor
 
@@ -44,22 +44,16 @@ class ModelConfig:
         return self.n_kv_heads * self.head_dim
 
     def __post_init__(self):
+        check_types(self)
         # The fields without a default are exactly the integer dimensions.
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.default is MISSING and (type(v) is not int or v <= 0):
-                raise ConfigError(f"{f.name} must be a positive integer, got {v!r}")
+        check_ranges(self, [*[(f.name, getattr(self, f.name) >= 1, ">= 1")
+                              for f in fields(self) if f.default is MISSING],
+                            ("head_dim", self.head_dim % 2 == 0, "an even number for RoPE"),
+                            ("norm_eps", self.norm_eps >= 0, ">= 0"),
+                            ("rope_theta", self.rope_theta > 0, "> 0")])
         if self.n_heads % self.n_kv_heads != 0:
             raise ConfigError(
                 f"n_heads {self.n_heads} not divisible by n_kv_heads {self.n_kv_heads}")
-        if self.head_dim % 2 != 0:
-            raise ConfigError(f"head_dim must be even for rotary embedding, got {self.head_dim}")
-        for name, v, ok, want in (("norm_eps", self.norm_eps, lambda v: v >= 0, ">= 0"),
-                                  ("rope_theta", self.rope_theta, lambda v: v > 0, "> 0")):
-            if not (type(v) in (int, float) and math.isfinite(v) and ok(v)):
-                raise ConfigError(f"{name} must be a finite number {want}, got {v!r}")
-        if type(self.tied_embeddings) is not bool:
-            raise ConfigError(f"tied_embeddings must be a bool, got {self.tied_embeddings!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .engine import _pick
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_ranges, check_types
 from .model import ModelConfig, cache_shape, check_handoff, tensor_shape, tensor_table
 
 
@@ -28,8 +28,28 @@ class HardwareSpec:
     bytes_per_param: int = 4          # f32
 
     def __post_init__(self):
-        if self.peak_flops <= 0 or self.mem_bandwidth <= 0 or self.bytes_per_param <= 0:
-            raise ConfigError("hardware spec values must be positive")
+        check_types(self)
+        check_ranges(self, [(name, getattr(self, name) > 0, "> 0")
+                            for name in ("peak_flops", "mem_bandwidth", "bytes_per_param")])
+
+
+@dataclass(frozen=True)
+class BenchConfig:
+    """The roofline sweep: every mode at each generation length."""
+    prompt_len: int = 64
+    gen_lens: tuple[int, ...] = (32, 64, 128)
+    batch: int = 1
+    hardware: HardwareSpec = HardwareSpec()
+    # The full model: a bundled geometry's name or a model config file;
+    # None means the run's model.
+    roofline_full_geometry: Optional[str] = None
+
+    def __post_init__(self):
+        check_types(self)
+        check_ranges(self, (("prompt_len", self.prompt_len >= 1, ">= 1"),
+                            ("gen_lens", min(self.gen_lens, default=0) >= 1,
+                             "a non-empty tuple of ints >= 1"),
+                            ("batch", self.batch >= 1, ">= 1")))
 
 
 @dataclass

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_ranges, check_types
 from .model import KVCache, ModelConfig, Weights, run_block
 from .tensor import Tensor
 
@@ -33,12 +33,12 @@ class PruneConfig:
     calib_seq_len: int = 128
 
     def __post_init__(self):
-        for name in ("p_hidden", "p_intermediate"):
-            v = getattr(self, name)
-            if not (0.0 <= v < 1.0):
-                raise ConfigError(f"{name} must be in [0, 1), got {v}")
-        if self.calib_batches <= 0 or self.calib_rows <= 0 or self.calib_seq_len <= 0:
-            raise ConfigError("calibration dimensions must be positive")
+        check_types(self)
+        check_ranges(self, (("p_hidden", 0 <= self.p_hidden < 1, "in [0, 1)"),
+                            ("p_intermediate", 0 <= self.p_intermediate < 1, "in [0, 1)"),
+                            ("calib_batches", self.calib_batches >= 1, ">= 1"),
+                            ("calib_rows", self.calib_rows >= 1, ">= 1"),
+                            ("calib_seq_len", self.calib_seq_len >= 1, ">= 1")))
 
 
 @dataclass

@@ -56,10 +56,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
     def size(self) -> int:
         return self.data.size
 
@@ -188,39 +184,20 @@ def matmul_nt(a: ArrayLike, b: ArrayLike) -> Tensor:
     return _emit(out, (a, b), backward)
 
 
-def _check_broadcast(av, bv, opname):
-    if av.shape == bv.shape:
-        return False
-    if bv.ndim == 1 and av.ndim >= 1 and av.shape[-1] == bv.shape[0]:
-        return True
-    raise ShapeError(f"{opname}: shapes {av.shape} and {bv.shape} do not align")
-
-
 def add(a: ArrayLike, b: ArrayLike) -> Tensor:
-    """Elementwise sum; b may be a vector broadcast over the last axis."""
+    """Elementwise sum of two arrays of one shape."""
     av, bv = _arr(a), _arr(b)
-    bcast = _check_broadcast(av, bv, "add")
-
-    def backward(g):
-        gb = g.reshape(-1, bv.shape[0]).sum(axis=0) if bcast else g
-        return g, gb
-
-    return _emit(av + bv, (a, b), backward)
+    if av.shape != bv.shape:
+        raise ShapeError(f"add: shapes {av.shape} and {bv.shape} differ")
+    return _emit(av + bv, (a, b), lambda g: (g, g))
 
 
 def mul(a: ArrayLike, b: ArrayLike) -> Tensor:
-    """Elementwise product; b may be a vector broadcast over the last axis."""
+    """Elementwise product of two arrays of one shape."""
     av, bv = _arr(a), _arr(b)
-    bcast = _check_broadcast(av, bv, "mul")
-
-    def backward(g):
-        ga = g * bv
-        gb = g * av
-        if bcast:
-            gb = gb.reshape(-1, bv.shape[0]).sum(axis=0)
-        return ga, gb
-
-    return _emit(av * bv, (a, b), backward)
+    if av.shape != bv.shape:
+        raise ShapeError(f"mul: shapes {av.shape} and {bv.shape} differ")
+    return _emit(av * bv, (a, b), lambda g: (g * bv, g * av))
 
 
 def scale(a: ArrayLike, c: float) -> Tensor:

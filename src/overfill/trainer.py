@@ -21,10 +21,41 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import tensor as tk
-from .corpus import ChatExample, Tokenizer, format_chat
-from .errors import ConfigError, DataError
+from .corpus import TASK_KINDS, ChatExample, Tokenizer, format_chat
+from .errors import ConfigError, DataError, check_ranges, check_types
 from .model import KVCache, Weights, check_handoff, lm_logits, run_block
 from .tensor import GradTape, Tensor, grad_of
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """The training budget and data of both decoders and the base model."""
+    base_lr: float = 1e-3
+    warmup_ratio: float = 0.01
+    batch_size: int = 16
+    max_seq_len: int = 96
+    base_steps: int = 600
+    overfill_steps: int = 300
+    checkpoint_every: int = 0  # save every this many steps; 0 never does
+    kinds: tuple[str, ...] = TASK_KINDS
+    train_per_kind: int = 2000
+    eval_per_kind: int = 100
+
+    def __post_init__(self):
+        check_types(self)
+        check_ranges(self, (
+            ("base_lr", self.base_lr > 0, "> 0"),
+            ("warmup_ratio", 0 <= self.warmup_ratio < 1, "in [0, 1)"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("max_seq_len", self.max_seq_len >= 2, ">= 2"),
+            ("base_steps", self.base_steps >= 1, ">= 1"),
+            ("overfill_steps", self.overfill_steps >= 1, ">= 1"),
+            ("checkpoint_every", self.checkpoint_every >= 0, ">= 0"),
+            ("kinds", set(self.kinds) <= set(TASK_KINDS), f"names from {TASK_KINDS}"),
+            ("kinds", 0 < len(self.kinds) == len(set(self.kinds)),
+             "a non-empty tuple without repeats"),
+            ("train_per_kind", self.train_per_kind >= 1, ">= 1"),
+            ("eval_per_kind", self.eval_per_kind >= 1, ">= 1")))
 
 
 @dataclass
@@ -246,31 +277,30 @@ def _batch_stream(n_examples: int, batch_size: int, seed: int):
 
 
 def run_training(prefill_w: Optional[Weights], w: Weights,
-                 examples: Sequence[ChatExample], tok: Tokenizer,
-                 *, steps: int, batch_size: int, max_seq_len: int,
-                 base_lr: float, warmup_ratio: float, data_seed: int,
-                 checkpoint_every: Optional[int] = None,
+                 examples: Sequence[ChatExample], tok: Tokenizer, train: TrainConfig,
+                 *, steps: int, data_seed: int,
                  checkpoint_fn: Optional[Callable[[int], None]] = None,
                  ) -> list[TrainLogRow]:
-    """Train w for a fixed number of steps over reshuffled batches, behind a
-    frozen prefill model when one is given (see train_step)."""
-    if steps < 1 or batch_size < 1:
-        raise ConfigError(f"steps and batch_size must be >= 1, got {steps} and {batch_size}")
-    if batch_size > len(examples):
-        raise DataError(f"batch size {batch_size} exceeds dataset size {len(examples)}")
+    """Train w for `steps` steps over reshuffled batches, behind a frozen
+    prefill model when one is given (see train_step), calling checkpoint_fn
+    with the step number every train.checkpoint_every steps."""
+    if steps < 1:
+        raise ConfigError(f"steps must be >= 1, got {steps}")
+    if train.batch_size > len(examples):
+        raise DataError(f"batch size {train.batch_size} exceeds dataset size {len(examples)}")
     if prefill_w is not None:
         prefill_w.freeze()
     w.set_requires_grad(True)
-    opt = OptState.for_weights(w, base_lr, warmup_ratio, steps)
-    stream = _batch_stream(len(examples), batch_size, data_seed)
+    opt = OptState.for_weights(w, train.base_lr, train.warmup_ratio, steps)
+    stream = _batch_stream(len(examples), train.batch_size, data_seed)
     rows = []
     tokens_seen = 0
     for step in range(1, steps + 1):
         idx = next(stream)
-        batch = build_batch([examples[i] for i in idx], tok, max_seq_len)
+        batch = build_batch([examples[i] for i in idx], tok, train.max_seq_len)
         _, _, loss = train_step(prefill_w, w, batch, opt)
         tokens_seen += int(batch.row_lengths.sum())
         rows.append(TrainLogRow(step, opt.lr, loss, tokens_seen))
-        if checkpoint_every and checkpoint_fn and step % checkpoint_every == 0:
+        if train.checkpoint_every and checkpoint_fn and step % train.checkpoint_every == 0:
             checkpoint_fn(step)
     return rows

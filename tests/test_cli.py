@@ -15,9 +15,9 @@ from overfill.corpus import Tokenizer, pack_calibration_batches
 from overfill.engine import GenParams
 from overfill.errors import ConfigError, DataError
 from overfill.model import DESK_CONFIG, init_model
-from overfill.perfmodel import HardwareSpec, param_count, reference_geometry
+from overfill.perfmodel import BenchConfig, HardwareSpec, param_count, reference_geometry
 from overfill.pruner import PruneConfig, prune_pipeline
-from overfill.trainer import run_training
+from overfill.trainer import TrainConfig, run_training
 
 # A geometry small enough that the whole pipeline runs in-process in seconds.
 TINY_RUN = {
@@ -144,11 +144,8 @@ def test_pruned_and_overfill_logs_share_steps_and_tokens(trained_run):
 def test_train_pruned_trains_pruned_init_alone_on_the_overfill_batches(trained_run):
     cfg = cli.load_run_config(str(trained_run / "run.json"))
     w = cli._load_model(trained_run, "pruned_init")
-    t = cfg["train"]
-    run_training(None, w, cli._train_examples(cfg, trained_run), Tokenizer(),
-                 steps=t["overfill_steps"], batch_size=t["batch_size"],
-                 max_seq_len=t["max_seq_len"], base_lr=t["base_lr"],
-                 warmup_ratio=t["warmup_ratio"], data_seed=cfg["seed"] + 2)
+    run_training(None, w, cli._train_examples(cfg, trained_run), Tokenizer(), cfg["train"],
+                 steps=cfg["train"].overfill_steps, data_seed=cfg["seed"] + 2)
     trained = cli._load_model(trained_run, "pruned")
     assert trained.config == w.config and trained.checksum() == w.checksum()
     assert trained.checksum() != cli._load_model(trained_run, "pruned_init").checksum()
@@ -206,7 +203,8 @@ def test_subcommand_options_match_the_table():
 # run config
 # ---------------------------------------------------------------------------
 
-# Every leaf key of the run config, in schema order: a new knob is added on purpose.
+# Every leaf key of the run config, in section and field order: a new knob is
+# added on purpose.
 RUN_CONFIG_KEYS = """
 /seed
 /model/vocab_size /model/hidden_dim /model/n_layers /model/n_heads /model/n_kv_heads
@@ -224,16 +222,19 @@ RUN_CONFIG_KEYS = """
 """.split()
 
 
-def _leaf_keys(schema, pointer=""):
-    for key, rule in schema.items():
-        if isinstance(rule, dict):
-            yield from _leaf_keys(rule, f"{pointer}/{key}")
+def _leaf_keys(default, pointer):
+    for key in cli.section_keys(default):
+        value = getattr(default, key)
+        if dataclasses.is_dataclass(value):
+            yield from _leaf_keys(value, f"{pointer}/{key}")
         else:
             yield f"{pointer}/{key}"
 
 
 def test_run_config_keys_match_the_table():
-    assert list(_leaf_keys(cli.RUN_SCHEMA)) == RUN_CONFIG_KEYS
+    keys = ["/seed"] + [key for name, default in cli.RUN_SECTIONS.items()
+                        for key in _leaf_keys(default, f"/{name}")]
+    assert keys == RUN_CONFIG_KEYS
     assert len(RUN_CONFIG_KEYS) == 35
 
 
@@ -242,10 +243,41 @@ def test_run_config_keys_match_the_table():
     lambda: PruneConfig(1.0, 0.0),
     lambda: GenParams(max_new_tokens=-1),
     lambda: HardwareSpec(peak_flops=0),
-], ids=["model", "prune", "gen", "hardware"])
+    lambda: GenParams(max_new_tokens=True),
+    lambda: HardwareSpec(peak_flops=float("nan")),
+    lambda: HardwareSpec(bytes_per_param=4.5),
+    lambda: PruneConfig(0.5, 0.5, calib_rows=2.5),
+    lambda: PruneConfig("0.5", 0.5),
+    lambda: GenParams(max_new_tokens=1, seed=2**128),
+    lambda: TrainConfig(kinds=["copy"]),
+    lambda: TrainConfig(batch_size=0),
+    lambda: BenchConfig(hardware={"peak_flops": 1.0}),
+    lambda: BenchConfig(gen_lens=(32, 0)),
+], ids=["model", "prune", "gen", "hardware", "gen-bool", "hardware-nan", "hardware-float-int",
+        "prune-float-int", "prune-str", "gen-seed", "train-list", "train-batch",
+        "bench-dict", "bench-gen-lens"])
 def test_config_objects_cannot_be_made_invalid(make):
     with pytest.raises(ConfigError):
         make()
+
+
+CONFIG_DEFAULTS = [DESK_CONFIG, PruneConfig(0.5, 0.5), TrainConfig(),
+                   GenParams(max_new_tokens=1), HardwareSpec(), BenchConfig()]
+
+
+@pytest.mark.parametrize("config, name", [
+    (config, f.name) for config in CONFIG_DEFAULTS for f in dataclasses.fields(config)],
+    ids=lambda v: type(v).__name__ if dataclasses.is_dataclass(v) else v)
+def test_every_config_field_rejects_a_wrong_type(config, name):
+    # A near miss for the field's type (a bool for an int, an int for a
+    # bool, a NaN for a float, a list for a tuple), and an object for any.
+    value = getattr(config, name)
+    near = (list(value) if isinstance(value, tuple)
+            else {bool: 1, int: True, float: float("nan")}.get(type(value), object()))
+    for wrong in (near, object()):
+        with pytest.raises(ConfigError) as info:
+            dataclasses.replace(config, **{name: wrong})
+        assert info.value.field == name and str(info.value).startswith(f"{name}: expected ")
 
 
 def load(tmp_path, doc):
@@ -258,7 +290,8 @@ def test_run_config_defaults_match_the_config_classes(tmp_path):
     cfg = load(tmp_path, {})
     assert cfg["model"] == DESK_CONFIG
     assert cfg["prune"] == PruneConfig(0.5, 0.5)
-    assert cfg["bench"]["hardware"] == HardwareSpec()
+    assert cfg["train"] == TrainConfig()
+    assert cfg["bench"] == BenchConfig() and cfg["bench"].hardware == HardwareSpec()
     assert cfg["seed"] == 0 and cfg["gen"] == GenParams(max_new_tokens=32)
 
 
@@ -267,10 +300,10 @@ def test_run_config_accepts_ints_for_floats_and_none_where_optional(tmp_path):
                           "bench": {"hardware": {"peak_flops": 10}}})
     assert cfg["model"].rope_theta == 500000
     assert cfg["prune"].p_hidden == 0
-    assert cfg["bench"]["hardware"].peak_flops == 10
+    assert cfg["bench"].hardware.peak_flops == 10
     # An unset roofline geometry is the model section.
     cfg = load(tmp_path, {"model": {"n_layers": 2}, "bench": {"roofline_full_geometry": None}})
-    assert cfg["bench"]["roofline_full_geometry"] == cfg["model"]
+    assert cfg["roofline_full"] == cfg["model"]
     assert cfg["model"] == dataclasses.replace(DESK_CONFIG, n_layers=2)
 
 
@@ -319,17 +352,62 @@ def test_run_config_accepts_ints_for_floats_and_none_where_optional(tmp_path):
      "list without repeats, got ['copy', 'reverse', 'copy']"),
     ({"bench": {"gen_lens": []}}, "/bench/gen_lens: expected a non-empty list"),
     ({"prune": {"hardware_round_to": 8}}, "/prune/hardware_round_to: unknown key"),
+    ({"seed": 2**128},
+     "/seed: expected in [0, 2**128), got 340282366920938463463374607431768211456"),
+    ({"gen": {"seed": 1}}, "/gen/seed: unknown key"),
+    ({"gen": {"stop_token": 1}}, "/gen/stop_token: unknown key"),
+    ({"train": {"base_steps": 0}}, "/train/base_steps: expected >= 1, got 0"),
+    ({"train": {"overfill_steps": 0}}, "/train/overfill_steps: expected >= 1, got 0"),
+    ({"train": {"batch_size": 0}}, "/train/batch_size: expected >= 1, got 0"),
+    ({"bench": {"hardware": {"peak_flops": 0}}},
+     "/bench/hardware/peak_flops: expected > 0, got 0"),
+    ({"bench": {"hardware": 5}}, "/bench/hardware: expected an object"),
+    ({"bench": {"roofline_full_geometry": 5}},
+     "/bench/roofline_full_geometry: expected Optional[str], got int"),
+    ({"model": {"head_dim": 7}}, "/model/head_dim: expected an even number for RoPE, got 7"),
+    ({"model": {"n_heads": 3}}, "/model: n_heads 3 not divisible by n_kv_heads 2"),
 ])
 def test_run_config_errors_name_the_json_pointer(tmp_path, doc, message):
     with pytest.raises(DataError) as info:
         load(tmp_path, doc)
-    assert str(info.value) == "invalid run config: " + message
+    assert str(info.value) == "invalid run config: " + REWORDED.get(message, message)
+
+
+# Messages reworded when the config classes took over the loader's type and
+# range checks, old -> new; a case above keeps its old message as its id.
+# Arrays are read as tuples, every element is type-checked, and a class
+# reports one field's fault at that field's pointer.
+REWORDED = {
+    "/seed: expected >= 0, got -1": "/seed: expected in [0, 2**128), got -1",
+    "/gen: max_new_tokens must be >= 0, got -1": "/gen/max_new_tokens: expected >= 0, got -1",
+    "/gen: temperature must be >= 0, got -0.5": "/gen/temperature: expected >= 0, got -0.5",
+    "/train/kinds: expected names from ['copy', 'reverse', 'modadd', 'kvlookup'], "
+    "got ['copy', 5]": "/train/kinds: expected tuple[str, ...], got ('copy', 5)",
+    "/train/kinds: expected names from ['copy', 'reverse', 'modadd', 'kvlookup'], "
+    "got ['copy', 'sort']": "/train/kinds: expected names from "
+    "('copy', 'reverse', 'modadd', 'kvlookup'), got ('copy', 'sort')",
+    "/bench/gen_lens: expected positive ints, got ['a']":
+        "/bench/gen_lens: expected tuple[int, ...], got ('a',)",
+    "/bench/gen_lens: expected positive ints, got [32, 0]":
+        "/bench/gen_lens: expected a non-empty tuple of ints >= 1, got (32, 0)",
+    "/bench/gen_lens: expected positive ints, got [True]":
+        "/bench/gen_lens: expected tuple[int, ...], got (True,)",
+    "/bench/gen_lens: expected positive ints, got [8.0]":
+        "/bench/gen_lens: expected tuple[int, ...], got (8.0,)",
+    "/train/kinds: expected a non-empty list without repeats, got []":
+        "/train/kinds: expected a non-empty tuple without repeats, got ()",
+    "/train/kinds: expected a non-empty list without repeats, got ['copy', 'reverse', 'copy']":
+        "/train/kinds: expected a non-empty tuple without repeats, "
+        "got ('copy', 'reverse', 'copy')",
+    "/bench/gen_lens: expected a non-empty list":
+        "/bench/gen_lens: expected a non-empty tuple of ints >= 1, got ()",
+}
 
 
 def test_seed_override_is_range_checked(tmp_path):
     (tmp_path / "run.json").write_text(json.dumps({"seed": -1}))
     assert cli.load_run_config(str(tmp_path / "run.json"), seed=2)["seed"] == 2
-    with pytest.raises(DataError, match="/seed: expected >= 0, got -5"):
+    with pytest.raises(DataError, match=r"/seed: expected in \[0, 2\*\*128\), got -5"):
         cli.load_run_config(str(tmp_path / "run.json"), seed=-5)
 
 
@@ -363,25 +441,31 @@ def test_bad_generation_params_exit_2(run_dir, capsys, gen, message):
 
 @pytest.mark.parametrize("subcommand", [c for c in cli.COMMANDS if c != "param-count"])
 @pytest.mark.parametrize("doc, args, message", [
-    ({"seed": -1}, (), "/seed: expected >= 0, got -1"),
-    ({}, ("--seed", "-1"), "/seed: expected >= 0, got -1"),
-    ({"gen": {"max_new_tokens": -1}}, (), "/gen: max_new_tokens must be >= 0"),
-    ({"bench": {"gen_lens": ["a"]}}, (), "/bench/gen_lens: expected positive ints"),
-    ({"train": {"kinds": ["copy", 5]}}, (), "/train/kinds: expected names from"),
+    ({"seed": -1}, (), "/seed: expected in [0, 2**128), got -1"),
+    ({}, ("--seed", "-1"), "/seed: expected in [0, 2**128), got -1"),
+    ({"gen": {"max_new_tokens": -1}}, (), "/gen/max_new_tokens: expected >= 0, got -1"),
+    ({"bench": {"gen_lens": ["a"]}}, (), "/bench/gen_lens: expected tuple[int, ...], got ('a',)"),
+    ({"train": {"kinds": ["copy", 5]}}, (),
+     "/train/kinds: expected tuple[str, ...], got ('copy', 5)"),
     ({"train": {"base_lr": -0.01}}, (), "/train/base_lr: expected > 0, got -0.01"),
-    ({"train": {"base_lr": float("inf")}}, (), "/train/base_lr: expected a finite number"),
-    ({"gen": {"temperature": float("nan")}}, (), "/gen/temperature: expected a finite number"),
-    ({"model": {"rope_theta": float("nan")}}, (), "/model/rope_theta: expected a finite"),
+    ({"train": {"base_lr": float("inf")}}, (),
+     "/train/base_lr: expected a finite number, got inf"),
+    ({"gen": {"temperature": float("nan")}}, (),
+     "/gen/temperature: expected a finite number, got nan"),
+    ({"model": {"rope_theta": float("nan")}}, (),
+     "/model/rope_theta: expected a finite number, got nan"),
     ({"bench": {"hardware": {"mem_bandwidth": float("-inf")}}}, (),
-     "/bench/hardware/mem_bandwidth: expected a finite number"),
-    ({"train": {"kinds": []}}, (), "/train/kinds: expected a non-empty list"),
-    ({"train": {"kinds": ["copy", "copy"]}}, (), "/train/kinds: expected a non-empty list"),
-    ({"bench": {"gen_lens": []}}, (), "/bench/gen_lens: expected a non-empty list"),
-    ({"prune": {"p_hidden": 2}}, (), "/prune: p_hidden must be in [0, 1), got 2"),
+     "/bench/hardware/mem_bandwidth: expected a finite number, got -inf"),
+    ({"train": {"kinds": []}}, (), "/train/kinds: expected a non-empty tuple without repeats"),
+    ({"train": {"kinds": ["copy", "copy"]}}, (),
+     "/train/kinds: expected a non-empty tuple without repeats, got ('copy', 'copy')"),
+    ({"bench": {"gen_lens": []}}, (),
+     "/bench/gen_lens: expected a non-empty tuple of ints >= 1, got ()"),
+    ({"prune": {"p_hidden": 2}}, (), "/prune/p_hidden: expected in [0, 1), got 2"),
     ({"model": {"n_heads": 3}}, (), "/model: n_heads 3 not divisible by n_kv_heads 2"),
-    ({"prune": {"calib_rows": 0}}, (), "/prune: calibration dimensions must be positive"),
+    ({"prune": {"calib_rows": 0}}, (), "/prune/calib_rows: expected >= 1, got 0"),
     ({"bench": {"hardware": {"peak_flops": 0}}}, (),
-     "/bench/hardware: hardware spec values must be positive"),
+     "/bench/hardware/peak_flops: expected > 0, got 0"),
     ({"bench": {"prompt_len": 0}}, (), "/bench/prompt_len: expected >= 1, got 0"),
     ({"bench": {"batch": 0}}, (), "/bench/batch: expected >= 1, got 0"),
     ({"prune": {"hardware_round_to": 1024}}, (), "/prune/hardware_round_to: unknown key"),
@@ -389,11 +473,20 @@ def test_bad_generation_params_exit_2(run_dir, capsys, gen, message):
     ({"bench": {"roofline_full_geometry": "nope.json"}}, (),
      "/bench/roofline_full_geometry: model config not found"),
     (b'{"seed": 1\xff}', (), "not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+    ({"seed": 2**128}, (), "/seed: expected in [0, 2**128), got 3402823669209384634633746"),
+    ({}, ("--seed", str(2**128)), "/seed: expected in [0, 2**128), got 34028236692093846346"),
+    ({"train": {"base_steps": 0}}, (), "/train/base_steps: expected >= 1, got 0"),
+    ({"train": {"overfill_steps": 0}}, (), "/train/overfill_steps: expected >= 1, got 0"),
+    ({"train": {"batch_size": 0}}, (), "/train/batch_size: expected >= 1, got 0"),
+    # An int past the float range is not a finite number either.
+    ({"bench": {"hardware": {"peak_flops": 10**400}}}, (),
+     "/bench/hardware/peak_flops: expected a finite number, got 10000000000"),
 ], ids=["seed", "seed-flag", "max-new-tokens", "gen-lens", "kinds", "base-lr",
         "base-lr-inf", "temperature-nan", "rope-theta-nan", "hardware-inf",
         "kinds-empty", "kinds-repeated", "gen-lens-empty", "p-hidden", "n-heads",
         "calib-rows", "peak-flops", "prompt-len", "batch", "round-to", "p-hidden-empty",
-        "roofline-file", "not-utf8"])
+        "roofline-file", "not-utf8", "seed-2-128", "seed-flag-2-128", "base-steps",
+        "overfill-steps", "batch-size", "peak-flops-huge"])
 def test_out_of_range_run_config_exits_2(run_dir, capsys, subcommand, doc, args, message):
     raw = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
     (run_dir / "run.json").write_bytes(raw)
@@ -490,9 +583,9 @@ def test_param_count_on_a_json_file_that_is_not_an_object_exits_2(tmp_path, caps
 
 
 @pytest.mark.parametrize("bad, message", [
-    ({"n_layers": True, "tied_embeddings": "no"}, "n_layers must be a positive integer"),
-    ({"tied_embeddings": "no"}, "tied_embeddings must be a bool"),
-    ({"rope_theta": True}, "rope_theta must be a finite number"),
+    ({"n_layers": True, "tied_embeddings": "no"}, "n_layers: expected int, got bool"),
+    ({"tied_embeddings": "no"}, "tied_embeddings: expected bool, got str"),
+    ({"rope_theta": True}, "rope_theta: expected int or float, got bool"),
 ], ids=["bool-dimension", "string-flag", "bool-float"])
 def test_param_count_on_a_model_config_of_the_wrong_json_types_exits_2(tmp_path, capsys,
                                                                         bad, message):
@@ -517,21 +610,25 @@ def test_param_count_range_checks_the_seed_of_a_run_config(tmp_path, capsys):
     path.write_text("{}")
     code = cli.main(["param-count", "--config", str(path), "--seed", "-5"])
     captured = capsys.readouterr()
-    assert code == 2 and "/seed: expected >= 0, got -5" in captured.err
+    assert code == 2 and "/seed: expected in [0, 2**128), got -5" in captured.err
     assert captured.out == "" and "Traceback" not in captured.err
 
 
+# A count below one in the run config fails at load (in gen-data too, see
+# test_out_of_range_run_config_exits_2); --steps fails when training starts.
+# The data is made first, so either way it is train-base that refuses.
 @pytest.mark.parametrize("train, args", [({"base_steps": 0}, ()),
                                          ({}, ("--steps", "-3")),
                                          ({}, ("--steps", "0")),
                                          ({"batch_size": 0}, ())])
 def test_training_counts_below_one_exit_2(tmp_path, capsys, train, args):
+    (tmp_path / "run.json").write_text(json.dumps(TINY_RUN))
+    assert run_cli(tmp_path, "gen-data") == 0
     run = {**TINY_RUN, "train": {**TINY_RUN["train"], **train}}
     (tmp_path / "run.json").write_text(json.dumps(run))
-    assert run_cli(tmp_path, "gen-data") == 0
     code = run_cli(tmp_path, "train-base", *args)
     err = capsys.readouterr().err
-    assert code == 2 and "must be >= 1" in err and "Traceback" not in err
+    assert code == 2 and ">= 1, got" in err and "Traceback" not in err
     assert not (tmp_path / "checkpoints" / "base.ovfl").exists()
 
 

@@ -32,13 +32,13 @@ def _kv(seed, block, dt):
     return np.concatenate([hist, block.data.reshape(3, 1, 2)])[None]
 
 
-# Each case maps float tensors of one dtype (x [3,4], w [4,2], u [5,4],
-# b [4], kb [3,2], vb [3,2]) to the op's output.
+# Each case maps float tensors of one dtype (x [3,4], y [3,4], w [4,2],
+# u [5,4], b [4], kb [3,2], vb [3,2]) to the op's output.
 OP_CASES = {
     "matmul": lambda a, dt: tk.matmul(a["x"], a["w"]),
     "matmul_nt": lambda a, dt: tk.matmul_nt(a["x"], a["u"]),
-    "add": lambda a, dt: tk.add(a["x"], a["b"]),
-    "mul": lambda a, dt: tk.mul(a["x"], a["b"]),
+    "add": lambda a, dt: tk.add(a["x"], a["y"]),
+    "mul": lambda a, dt: tk.mul(a["x"], a["y"]),
     "scale": lambda a, dt: tk.scale(a["x"], -1.7),
     "silu": lambda a, dt: tk.silu(a["x"]),
     "softmax_rows": lambda a, dt: tk.softmax_rows(a["x"]),
@@ -68,7 +68,8 @@ def test_every_tensor_op_has_a_case():
 @pytest.mark.parametrize("name", sorted(OP_CASES))
 def test_op_output_and_gradients_keep_dtype(name, dt):
     rng = np.random.default_rng(0)
-    shapes = {"x": (3, 4), "w": (4, 2), "u": (5, 4), "b": (4,), "kb": (3, 2), "vb": (3, 2)}
+    shapes = {"x": (3, 4), "y": (3, 4), "w": (4, 2), "u": (5, 4), "b": (4,), "kb": (3, 2),
+              "vb": (3, 2)}
     inputs = {k: Tensor(rng.normal(size=s).astype(dt), requires_grad=True)
               for k, s in shapes.items()}
     with GradTape() as tape:

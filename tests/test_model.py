@@ -29,7 +29,7 @@ def test_config_validation_rejects_bad_fields():
     with pytest.raises(ConfigError):
         dataclasses.replace(DESK_CONFIG, head_dim=7)
     for field in ("norm_eps", "rope_theta"):
-        for bad in (float("nan"), float("inf"), "1e-5", True):
+        for bad in (float("nan"), float("inf"), 10**400, "1e-5", True):
             with pytest.raises(ConfigError, match=field):
                 dataclasses.replace(DESK_CONFIG, **{field: bad})
     for field, bad in (("n_layers", True), ("hidden_dim", np.int64(64)),

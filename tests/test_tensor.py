@@ -108,6 +108,13 @@ def test_rms_norm_dimension_mismatch():
         tk.rms_norm(np.ones((2, 4)), np.ones(5), eps=0.0)
 
 
+@pytest.mark.parametrize("op", [tk.add, tk.mul])
+def test_elementwise_ops_reject_different_shapes(op):
+    # No broadcasting: a vector does not stretch over the rows.
+    with pytest.raises(ShapeError, match=r"\(3, 4\) and \(4,\) differ"):
+        op(np.ones((3, 4)), np.ones(4))
+
+
 def test_rms_norm_equals_the_np_mean_formula_bit_for_bit():
     for dt in (np.float32, np.float64):
         for shape in ((1, 64), (7, 64), (5, 320)):
@@ -259,8 +266,8 @@ def test_grad_rms_norm_matmul_chain_finite_differences():
 FD_CASES = {
     "matmul": lambda ts: tk.sum_all(tk.mul(tk.matmul(ts[0], ts[1]), _W(3, 2))),
     "matmul_nt": lambda ts: tk.sum_all(tk.mul(tk.matmul_nt(ts[0], ts[2]), _W(3, 5))),
-    "add": lambda ts: tk.sum_all(tk.mul(tk.add(ts[0], ts[3]), _W(3, 4))),
-    "mul": lambda ts: tk.sum_all(tk.mul(tk.mul(ts[0], ts[3]), _W(3, 4))),
+    "add": lambda ts: tk.sum_all(tk.mul(tk.add(ts[0], ts[7]), _W(3, 4))),
+    "mul": lambda ts: tk.sum_all(tk.mul(tk.mul(ts[0], ts[7]), _W(3, 4))),
     "scale": lambda ts: tk.sum_all(tk.mul(tk.scale(ts[0], -1.7), _W(3, 4))),
     "silu": lambda ts: tk.sum_all(tk.mul(tk.silu(ts[0]), _W(3, 4))),
     "softmax_rows": lambda ts: tk.sum_all(tk.mul(tk.softmax_rows(ts[0]), _W(3, 4))),
@@ -297,10 +304,11 @@ def test_finite_differences_per_op(name):
         rng(20).normal(size=(3, 4)),   # generic input / attend queries
         rng(21).normal(size=(4, 2)),   # matmul partner
         rng(22).normal(size=(5, 4)),   # matmul_nt partner
-        rng(23).normal(size=4),        # broadcast vector
+        rng(23).normal(size=4),        # rms_norm gain
         rng(24).normal(size=(3, 5)),   # logits
         rng(25).normal(size=(3, 2)),   # attend block keys
         rng(26).normal(size=(3, 2)),   # attend block values
+        rng(27).normal(size=(3, 4)),   # add / mul partner
     ]
     fd_gradcheck(FD_CASES[name], arrays, tol=1e-4)
 

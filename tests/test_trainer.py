@@ -13,8 +13,9 @@ from overfill.model import KVCache, init_model, lm_logits, run_block
 from overfill.pruner import ImportanceScores, identity_selection, select_channels, slice_model
 from overfill.tensor import GradTape, Tensor, grad_of
 from overfill.trainer import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS, OptState,
-                              TrainBatch, _adam_update, _batch_loss_rows, build_batch,
-                              lr_schedule, run_training, train_step, write_training_log)
+                              TrainBatch, TrainConfig, _adam_update, _batch_loss_rows,
+                              build_batch, lr_schedule, run_training, train_step,
+                              write_training_log)
 
 from helpers import TINY_CONFIG
 
@@ -230,9 +231,8 @@ def test_lr_schedule_endpoints():
 def test_every_update_takes_a_nonzero_step_size():
     # The schedule is read at the middle of each step, so even the last
     # update of a run moves the weights.
-    rows = run_training(
-        None, init_model(desk_small(), seed=2), tiny_examples(8), TOK, steps=3,
-        batch_size=2, max_seq_len=96, base_lr=1e-3, warmup_ratio=0.01, data_seed=0)
+    rows = run_training(None, init_model(desk_small(), seed=2), tiny_examples(8), TOK,
+                        TrainConfig(batch_size=2), steps=3, data_seed=0)
     lrs = [r.lr for r in rows]
     assert all(lr > 0 for lr in lrs) and lrs == sorted(lrs, reverse=True)
 
@@ -351,9 +351,8 @@ def test_train_step_gradients_match_finite_differences_end_to_end():
 def test_standalone_training_decreases_loss():
     cfg = desk_small()
     w = init_model(cfg, seed=6)
-    rows = run_training(
-        None, w, tiny_examples(16, seed=8), TOK, steps=15, batch_size=4,
-        max_seq_len=96, base_lr=1e-3, warmup_ratio=0.05, data_seed=0)
+    rows = run_training(None, w, tiny_examples(16, seed=8), TOK,
+                        TrainConfig(batch_size=4, warmup_ratio=0.05), steps=15, data_seed=0)
     assert rows[-1].loss < rows[0].loss
     assert rows[-1].tokens_seen > rows[0].tokens_seen
 
@@ -368,9 +367,8 @@ def test_training_determinism_bit_identical():
         scores = ImportanceScores(rng.random(cfg.hidden_dim),
                                   [rng.random(cfg.intermediate_dim)] * cfg.n_layers)
         pruned, _ = slice_model(full, select_channels(scores, 32, 64), cfg)
-        rows = run_training(
-            full, pruned, tiny_examples(12, seed=9), TOK, steps=8, batch_size=4,
-            max_seq_len=96, base_lr=1e-3, warmup_ratio=0.1, data_seed=5)
+        rows = run_training(full, pruned, tiny_examples(12, seed=9), TOK,
+                            TrainConfig(batch_size=4, warmup_ratio=0.1), steps=8, data_seed=5)
         return rows[-1].loss, pruned.checksum()
 
     (loss_a, sum_a), (loss_b, sum_b) = one_run(), one_run()
@@ -391,8 +389,8 @@ def test_write_training_log(tmp_path):
 def test_run_training_checks_its_inputs_before_touching_the_weights():
     full, pruned = make_pair(desk_small(), seed=2)
     with pytest.raises(DataError, match="exceeds dataset size"):
-        run_training(full, pruned, tiny_examples(4), TOK, steps=1, batch_size=64,
-                     max_seq_len=96, base_lr=1e-3, warmup_ratio=0.0, data_seed=0)
+        run_training(full, pruned, tiny_examples(4), TOK, TrainConfig(batch_size=64),
+                     steps=1, data_seed=0)
     assert not full.frozen
     assert not any(t.requires_grad for t in pruned.tensors())
 
