@@ -4,17 +4,28 @@ Layout: magic "OVFL1", a little-endian u32 header length, the UTF-8 JSON
 header mapping tensor name -> {dtype, shape, byte_offset}, zero padding,
 then raw little-endian float32 blobs. Every blob starts at a file offset
 that is a multiple of 64; byte_offset values are absolute file offsets.
-Identical weights always serialize to identical bytes. Only finite weights
-are written; loading does not scan the blobs again.
+Blobs lie after the header and do not overlap. Identical weights always
+serialize to identical bytes. Only finite weights are written; loading
+does not scan the blobs again.
+
+A load maps the file copy-on-write: its tensors read the page cache in
+place, and writes to them never reach the file. Saves write a temp file
+beside the target and rename it onto the path, so a loaded model keeps its
+bytes and a failed save leaves the target as it was. A loaded model holds
+the file's mapping and one descriptor while it lives; truncating that file
+in place from another program is unsupported (the lost pages raise SIGBUS).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
+import secrets
 import struct
 from pathlib import Path
-from typing import Union
+from typing import BinaryIO, Callable, Union
 
 import numpy as np
 
@@ -30,6 +41,24 @@ PathLike = Union[str, Path]
 
 def _align(offset: int) -> int:
     return (offset + ALIGN - 1) // ALIGN * ALIGN
+
+
+def _write_atomically(path: PathLike, write: Callable[[BinaryIO], None]) -> None:
+    """Write `path` through `write(f)` on a temp file of this call's own beside
+    it, then rename that onto `path`. On any failure the temp file is removed
+    and `path` is left as it was. Not fsynced: atomic for other processes, not
+    across a power loss."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
+    f = open(tmp, "xb")
+    try:
+        with f:
+            write(f)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_checkpoint(path: PathLike, weights: Weights) -> None:
@@ -64,24 +93,30 @@ def save_checkpoint(path: PathLike, weights: Weights) -> None:
         offsets = new_offsets
     header_bytes = build_header(offsets)
 
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as f:
+    def write(f):
         f.write(MAGIC)
         f.write(struct.pack("<I", len(header_bytes)))
         f.write(header_bytes)
         for name, arr in blobs:
             f.write(b"\0" * (offsets[name] - f.tell()))
-            f.write(arr.tobytes())
+            f.write(arr)
+
+    _write_atomically(path, write)
 
 
 def read_checkpoint_tensors(path: PathLike) -> dict[str, np.ndarray]:
-    """Name -> float32 array. The file is read once into one writable buffer
-    and every array is a view of it."""
+    """Name -> float32 array, each a writable view of one copy-on-write
+    (MAP_PRIVATE) mapping of the file: a write copies its page privately and
+    never reaches the file. The mapping lives as long as any of the arrays."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"checkpoint not found: {path}")
-    raw = np.fromfile(path, dtype=np.uint8)
+    with open(path, "rb") as f:
+        try:
+            buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
+        except ValueError as exc:   # mmap refuses an empty file
+            raise DataError(f"truncated checkpoint {path}: the file is empty") from exc
+    raw = np.frombuffer(buf, dtype=np.uint8)
     if raw[: len(MAGIC)].tobytes() != MAGIC:
         raise DataError(f"bad magic in {path}: expected {MAGIC!r}")
     header_start = len(MAGIC) + 4
@@ -96,7 +131,7 @@ def read_checkpoint_tensors(path: PathLike) -> dict[str, np.ndarray]:
                    for name, meta in header.items()]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"corrupt checkpoint header in {path}: {exc!r}") from exc
-    tensors = {}
+    blobs = []
     for name, dtype, shape, off in entries:
         # bool is a subclass of int, but true/false is not a size here.
         if (not isinstance(shape, list) or type(off) is not int
@@ -111,8 +146,16 @@ def read_checkpoint_tensors(path: PathLike) -> dict[str, np.ndarray]:
         if min(shape, default=0) < 0 or off < header_start or off + nbytes > raw.size:
             raise DataError(f"truncated checkpoint {path}: tensor {name} at "
                             f"[{off}, {off + nbytes}) lies outside its {raw.size} bytes")
-        tensors[name] = raw[off: off + nbytes].view("<f4").reshape(shape)
-    return tensors
+        blobs.append((off, nbytes, name, shape))
+    # Writable views must not alias each other or the header text.
+    end, before = header_start + header_len, "the header"
+    for off, nbytes, name, _ in sorted(blobs):
+        if off < end:
+            raise DataError(f"corrupt checkpoint header in {path}: tensor {name} at "
+                            f"[{off}, {off + nbytes}) overlaps {before}, which ends at {end}")
+        end, before = off + nbytes, f"tensor {name}"
+    return {name: raw[off: off + nbytes].view("<f4").reshape(shape)
+            for off, nbytes, name, shape in blobs}
 
 
 def load_checkpoint(path: PathLike, config: ModelConfig) -> Weights:
@@ -135,9 +178,8 @@ def load_checkpoint(path: PathLike, config: ModelConfig) -> Weights:
 
 
 def save_config(path: PathLike, config: ModelConfig) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
+    text = json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
+    _write_atomically(path, lambda f: f.write(text.encode()))
 
 
 def read_json_object(path: PathLike, what: str) -> dict:

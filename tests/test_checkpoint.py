@@ -1,10 +1,16 @@
 import dataclasses
+import errno
+import hashlib
+import io
 import json
+import mmap
 import struct
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import overfill.checkpoint as ck
 from overfill.checkpoint import (MAGIC, load_checkpoint, load_config,
                                  read_checkpoint_tensors, save_checkpoint,
                                  save_config)
@@ -121,14 +127,14 @@ def test_config_file_non_finite_or_non_number_rejected(tmp_path, field, bad):
         load_config(path)
 
 
-@pytest.mark.parametrize("cut", ["magic", "header_len", "header", "middle", "short4"])
+@pytest.mark.parametrize("cut", ["empty", "magic", "header_len", "header", "middle", "short4"])
 def test_truncated_checkpoint_rejected(tmp_path, cut):
     w = init_model(TINY_CONFIG, seed=0)
     path = tmp_path / "m.ovfl"
     save_checkpoint(path, w)
     raw = path.read_bytes()
     (header_len,) = struct.unpack_from("<I", raw, 5)
-    keep = {"magic": 3, "header_len": 7, "header": 9 + header_len // 2,
+    keep = {"empty": 0, "magic": 3, "header_len": 7, "header": 9 + header_len // 2,
             "middle": len(raw) // 2, "short4": len(raw) - 4}[cut]
     path.write_bytes(raw[:keep])
     with pytest.raises(DataError, match="bad magic|truncated checkpoint"):
@@ -167,3 +173,114 @@ def test_loaded_tensors_are_writable_views_of_one_buffer(tmp_path):
     base = tensors[0].base
     assert base is not None and all(a.base is base for a in tensors)
     assert all(a.dtype == np.float32 and a.flags.writeable for a in tensors)
+
+
+def _edit_header_in_place(path, edit):
+    """Apply `edit` to the JSON header of the checkpoint at `path`, padding
+    the new header with spaces to the old length so no blob moves."""
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 5)
+    header = json.loads(raw[9: 9 + header_len])
+    edit(header)
+    new = json.dumps(header, separators=(",", ":")).encode()
+    assert len(new) <= header_len
+    path.write_bytes(raw[:9] + new.ljust(header_len) + raw[9 + header_len:])
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda h: h["layers.0.w_k"].update(byte_offset=h["layers.0.w_v"]["byte_offset"]),
+     "overlaps tensor layers.0.w_[kv]"),
+    (lambda h: h["layers.0.attn_norm_gamma"].update(byte_offset=64), "overlaps the header"),
+], ids=["blob-on-blob", "blob-in-header"])
+def test_overlapping_blobs_rejected(tmp_path, edit, where):
+    path = tmp_path / "m.ovfl"
+    save_checkpoint(path, init_model(TINY_CONFIG, seed=0))
+    _edit_header_in_place(path, edit)
+    with pytest.raises(DataError, match=f"corrupt checkpoint header .*{where}"):
+        load_checkpoint(path, TINY_CONFIG)
+
+
+class _DiskFull(io.BufferedWriter):
+    """Takes `room` bytes, then fails as a full disk does."""
+
+    def __init__(self, raw, room):
+        super().__init__(raw)
+        self.room = room
+
+    def write(self, b):
+        b = memoryview(b).cast("B")
+        if self.tell() + len(b) > self.room:
+            super().write(b[: max(self.room - self.tell(), 0)])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(b)
+
+
+@pytest.mark.parametrize("save, old, new, name, room", [
+    (save_checkpoint, init_model(TINY_CONFIG, seed=0), init_model(TINY_CONFIG, seed=1),
+     "m.ovfl", 2000),   # fails among the blobs
+    (save_config, DESK_CONFIG, dataclasses.replace(DESK_CONFIG, hidden_dim=64),
+     "cfg.json", 100),
+], ids=["checkpoint", "config"])
+@pytest.mark.parametrize("existed", [True, False], ids=["over-a-file", "new-file"])
+def test_failed_save_leaves_the_destination_as_it_was(tmp_path, monkeypatch, save, old, new,
+                                                      name, room, existed):
+    path = tmp_path / name
+    if existed:
+        save(path, old)
+        before = path.read_bytes()
+    monkeypatch.setattr(ck, "open", lambda file, mode: _DiskFull(
+        io.FileIO(file, mode.replace("b", "")), room), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save(path, new)
+    assert [p.name for p in tmp_path.iterdir()] == ([name] if existed else [])
+    if existed:
+        assert path.read_bytes() == before
+
+
+def test_concurrent_saves_to_one_path_leave_one_whole_file(tmp_path):
+    path = tmp_path / "m.ovfl"
+    models = [init_model(TINY_CONFIG, seed=s) for s in range(4)]
+
+    def save_often(w):
+        for _ in range(20):
+            save_checkpoint(path, w)
+
+    with ThreadPoolExecutor(len(models)) as pool:
+        for done in [pool.submit(save_often, w) for w in models]:
+            done.result(timeout=60)
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ovfl"]
+    assert (load_checkpoint(path, TINY_CONFIG).checksum()
+            in {w.checksum() for w in models})
+
+
+def test_a_loaded_model_survives_a_save_over_its_file(tmp_path):
+    path = tmp_path / "m.ovfl"
+    original = init_model(TINY_CONFIG, seed=0)
+    save_checkpoint(path, original)
+    loaded = load_checkpoint(path, TINY_CONFIG)
+    save_checkpoint(path, init_model(TINY_CONFIG, seed=1))
+    assert loaded.checksum() == original.checksum()
+
+
+def test_writes_into_a_loaded_tensor_never_reach_the_file(tmp_path):
+    path = tmp_path / "m.ovfl"
+    save_checkpoint(path, init_model(TINY_CONFIG, seed=0))
+    digest = hashlib.sha256(path.read_bytes()).digest()
+    first = load_checkpoint(path, TINY_CONFIG)
+    want = first.checksum()
+    for t in first.tensors():
+        t.data[...] = 7.0
+    assert hashlib.sha256(path.read_bytes()).digest() == digest
+    assert load_checkpoint(path, TINY_CONFIG).checksum() == want
+
+
+def test_loaded_tensors_share_the_file_mapping(tmp_path):
+    path = tmp_path / "m.ovfl"
+    save_checkpoint(path, init_model(TINY_CONFIG, seed=0))
+    tensors = [t.data for t in load_checkpoint(path, TINY_CONFIG).tensors()]
+    # Follow array bases and buffer owners down to what holds the bytes.
+    owner = tensors[0]
+    while isinstance(owner, (np.ndarray, memoryview)):
+        owner = owner.base if isinstance(owner, np.ndarray) else owner.obj
+    assert isinstance(owner, mmap.mmap)
+    assert all(a.base is tensors[0].base for a in tensors)

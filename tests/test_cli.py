@@ -428,6 +428,15 @@ def test_truncated_checkpoint_exits_2(run_dir, capsys, keep):
     assert code == 2 and "truncated checkpoint" in err and "Traceback" not in err
 
 
+def test_empty_pruned_checkpoint_exits_2(run_dir, capsys):
+    # A 0-byte file cannot be mapped; that is a data error, not a crash.
+    (run_dir / "checkpoints" / "pruned.ovfl").write_bytes(b"")
+    save_config(run_dir / "checkpoints" / "pruned.config.json", DESK_CONFIG)
+    code = run_cli(run_dir, "generate", "--mode", "pruned", "--prompt", "hi")
+    err = capsys.readouterr().err
+    assert code == 2 and "pruned.ovfl" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("gen, message", [({"max_new_tokens": -1}, "max_new_tokens"),
                                           ({"temperature": -0.5}, "temperature"),
                                           ({"temperature": float("nan")}, "temperature"),
