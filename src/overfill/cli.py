@@ -1,8 +1,9 @@
 """Single executable driving the pipeline, in order: gen-data -> train-base ->
 prune -> train-pruned -> train-overfill -> eval (generate serves one prompt).
 Each checkpoint has one producer, and every size and ratio comes from the run
-config; --seed and --steps can replace its seed and step counts. param-count
-and roofline give the analytic cost model.
+config, which is also the only source of a run's seed and training budgets,
+so train-pruned and train-overfill train for the same steps on the same
+batches. param-count and roofline give the analytic cost model.
 
 Exit codes: 0 success, 1 usage error, 2 data or format error.
 """
@@ -14,7 +15,6 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -94,16 +94,19 @@ def _cut(full: ModelConfig, pcfg: PruneConfig) -> ModelConfig:
     return dataclasses.replace(full, hidden_dim=d_kept, intermediate_dim=i_kept)
 
 
-def load_run_config(path: str, seed: Optional[int] = None) -> dict:
-    """The run config: its `seed` (`seed`, when given, replaces the file's)
-    and the object each section of RUN_SECTIONS builds. `roofline_full` is
-    the ModelConfig that `bench.roofline_full_geometry` names, whose cut
-    `roofline` estimates: the model section when the key is unset. The prune
-    ratios must leave channels of both it and the model section."""
+def load_run_config(path: str) -> dict:
+    """The run config: its `seed` and the object each section of
+    RUN_SECTIONS builds. `roofline_full` is the ModelConfig that
+    `bench.roofline_full_geometry` names, whose cut `roofline` estimates: the
+    model section when the key is unset. What a later step would refuse
+    fails here, before gen-data writes a file: the model's vocabulary must
+    hold the tokenizer's, the prune ratios must leave channels of both the
+    model section and `roofline_full`, and (TrainConfig checks this) a batch
+    must fit in the training set that gen-data makes."""
     doc = read_json_object(path, "run config")
     errors = [f"/{key}: unknown key" for key in doc
               if key != "seed" and key not in RUN_SECTIONS]
-    cfg = {"seed": doc.get("seed", 0) if seed is None else seed}
+    cfg = {"seed": doc.get("seed", 0)}
     try:  # the run seed seeds generation, so GenParams checks it
         dataclasses.replace(RUN_SECTIONS["gen"], seed=cfg["seed"])
     except ConfigError as exc:
@@ -120,6 +123,9 @@ def load_run_config(path: str, seed: Optional[int] = None) -> dict:
         except (ConfigError, DataError) as exc:
             errors.append(f"/bench/roofline_full_geometry: {exc}")
     if not errors:  # every section object and the roofline geometry was built
+        if cfg["model"].vocab_size < Tokenizer.vocab_size:
+            errors.append(f"/model/vocab_size: expected >= {Tokenizer.vocab_size} (the "
+                          f"tokenizer's), got {cfg['model'].vocab_size}")
         for ptr, model in (("/prune", cfg["model"]),
                            ("/bench/roofline_full_geometry", cfg["roofline_full"])):
             try:
@@ -179,9 +185,9 @@ def cmd_gen_data(args, cfg: dict) -> int:
 
 
 def _train(args, cfg: dict, prefill_w, w, tag: str, steps_key: str, data_seed: int) -> int:
-    """Train w (behind prefill_w when given) for --steps, else the config's
-    `steps_key` count, and save it under `tag`."""
-    steps = getattr(cfg["train"], steps_key) if args.steps is None else args.steps
+    """Train w (behind prefill_w when given) for the config's `steps_key`
+    count, and save it under `tag`."""
+    steps = getattr(cfg["train"], steps_key)
     run_dir = Path(args.out)
     rows = run_training(
         prefill_w, w, _train_examples(cfg, run_dir), Tokenizer(), cfg["train"], steps=steps,
@@ -270,10 +276,10 @@ def cmd_eval(args, cfg: dict) -> int:
 
 
 def cmd_param_count(args, cfg_unused) -> int:
-    """Parameter count of a model config file or of a run config's model."""
-    doc = read_json_object(args.config, "config")
-    model = (ModelConfig.from_dict(doc) if "vocab_size" in doc
-             else load_run_config(args.config, args.seed)["model"])
+    """Parameter count of a run config's model, or of a model config file. A
+    document whose every key is a run-config key (`{}` too) is a run config."""
+    is_run = read_json_object(args.config, "config").keys() <= {"seed", *RUN_SECTIONS}
+    model = load_run_config(args.config)["model"] if is_run else load_config(args.config)
     print(param_count(model))
     return 0
 
@@ -297,17 +303,12 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version="%(prog)s 0.1.0")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--config", required=True, help="run config JSON")
-        p.add_argument("--out", default="runs/run", help="run directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-
     for name in COMMANDS:
         p = sub.add_parser(name)
-        common(p)
-        if name.startswith("train-"):
-            p.add_argument("--steps", type=int, default=None)
-        elif name == "generate":
+        p.add_argument("--config", required=True, help="run config JSON")
+        if name != "param-count":  # the one subcommand that writes nothing
+            p.add_argument("--out", default="runs/run", help="run directory")
+        if name == "generate":
             p.add_argument("--mode", choices=MODES, default="overfill")
             p.add_argument("--prompt", required=True)
             p.add_argument("--system", default="")
@@ -339,10 +340,7 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        if args.subcommand == "param-count":
-            cfg = None
-        else:
-            cfg = load_run_config(args.config, args.seed)
+        cfg = None if args.subcommand == "param-count" else load_run_config(args.config)
         return COMMANDS[args.subcommand](args, cfg)
     except (DataError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

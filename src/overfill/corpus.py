@@ -51,7 +51,11 @@ class Tokenizer:
     pad = PAD
 
     def tokenize(self, text: str) -> list[int]:
-        return list(text.encode("utf-8"))
+        try:
+            raw = text.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate, e.g. from undecodable argv bytes
+            raise DataError(f"text is not valid Unicode: {exc}") from exc
+        return list(raw)
 
     def tokenize_bytes(self, raw: bytes) -> list[int]:
         return list(raw)

@@ -55,7 +55,9 @@ class TrainConfig:
             ("kinds", 0 < len(self.kinds) == len(set(self.kinds)),
              "a non-empty tuple without repeats"),
             ("train_per_kind", self.train_per_kind >= 1, ">= 1"),
-            ("eval_per_kind", self.eval_per_kind >= 1, ">= 1")))
+            ("eval_per_kind", self.eval_per_kind >= 1, ">= 1"),
+            ("batch_size", self.batch_size <= self.train_per_kind * len(self.kinds),
+             f"<= train_per_kind x kinds = {self.train_per_kind * len(self.kinds)}")))
 
 
 @dataclass

@@ -161,10 +161,18 @@ def test_train_pruned_before_prune_exits_2(tmp_path, capsys):
     assert not (tmp_path / "checkpoints" / "pruned.ovfl").exists()
 
 
+# A run's seed and step counts come from its run config only; param-count
+# writes nothing, so it takes no --out (which run_cli always passes).
 @pytest.mark.parametrize("args", [("train-base", "--tag", "pruned"),
                                   ("train-base", "--init-checkpoint", "x"),
-                                  ("prune", "--p-hidden", "0.7")],
-                         ids=["tag", "init-checkpoint", "p-hidden"])
+                                  ("prune", "--p-hidden", "0.7"),
+                                  ("train-base", "--steps", "1"),
+                                  ("train-overfill", "--steps", "1"),
+                                  ("eval", "--seed", "1"),
+                                  ("gen-data", "--seed", "1"),
+                                  ("param-count",)],
+                         ids=["tag", "init-checkpoint", "p-hidden", "steps", "overfill-steps",
+                              "seed", "gen-data-seed", "param-count-out"])
 def test_removed_flags_are_usage_errors(run_dir, capsys, args):
     before = sorted(run_dir.rglob("*"))
     code = run_cli(run_dir, *args)
@@ -173,15 +181,16 @@ def test_removed_flags_are_usage_errors(run_dir, capsys, args):
     assert sorted(run_dir.rglob("*")) == before
 
 
-# Every option of every subcommand. A new option is a deliberate change to
-# the surface: add it here too.
-COMMON_OPTIONS = {"--config", "--out", "--seed"}
+# Each subcommand's own options. Every subcommand also takes COMMON_OPTIONS,
+# but param-count, which writes nothing, takes --config only. A new option is
+# a deliberate change to the surface: add it here too.
+COMMON_OPTIONS = {"--config", "--out"}
 OPTIONS = {
     "gen-data": set(),
-    "train-base": {"--steps"},
+    "train-base": set(),
     "prune": set(),
-    "train-pruned": {"--steps"},
-    "train-overfill": {"--steps"},
+    "train-pruned": set(),
+    "train-overfill": set(),
     "generate": {"--mode", "--prompt", "--system"},
     "eval": {"--mode", "--kind"},
     "param-count": set(),
@@ -192,11 +201,11 @@ OPTIONS = {
 def test_subcommand_options_match_the_table():
     (sub,) = [a for a in cli.build_parser()._actions
               if isinstance(a, argparse._SubParsersAction)]
-    found = {name: {opt for a in p._actions for opt in a.option_strings}
-             - {"-h", "--help"} - COMMON_OPTIONS
+    found = {name: {opt for a in p._actions for opt in a.option_strings} - {"-h", "--help"}
              for name, p in sub.choices.items()}
-    assert found == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 8
+    assert found == {name: own | ({"--config"} if name == "param-count" else COMMON_OPTIONS)
+                     for name, own in OPTIONS.items()}
+    assert sum(map(len, OPTIONS.values())) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +262,10 @@ def test_run_config_keys_match_the_table():
     lambda: TrainConfig(batch_size=0),
     lambda: BenchConfig(hardware={"peak_flops": 1.0}),
     lambda: BenchConfig(gen_lens=(32, 0)),
+    lambda: TrainConfig(train_per_kind=2, batch_size=16),
 ], ids=["model", "prune", "gen", "hardware", "gen-bool", "hardware-nan", "hardware-float-int",
         "prune-float-int", "prune-str", "gen-seed", "train-list", "train-batch",
-        "bench-dict", "bench-gen-lens"])
+        "bench-dict", "bench-gen-lens", "train-batch-over-data"])
 def test_config_objects_cannot_be_made_invalid(make):
     with pytest.raises(ConfigError):
         make()
@@ -307,6 +317,65 @@ def test_run_config_accepts_ints_for_floats_and_none_where_optional(tmp_path):
     assert cfg["model"] == dataclasses.replace(DESK_CONFIG, n_layers=2)
 
 
+# Each case has a fixed id. The first 49 keep the ids pytest once derived from a case's
+# position and its message of the time, so rewording a message renames no test.
+POINTER_CASE_IDS = [
+    "doc0-/model/mystery: unknown key",
+    "doc1-/bench/hardware/watts: unknown key",
+    "doc2-/model/hidden_dim: expected int, got str",
+    "doc3-/model/hidden_dim: expected int, got float",
+    "doc4-/model/n_layers: expected int, got bool",
+    "doc5-/model/norm_eps: expected int or float, got bool",
+    "doc6-/model/tied_embeddings: expected bool, got int",
+    "doc7-/prune/p_hidden: expected int or float, got str",
+    "doc8-/bench/roofline_pruned_geometry: unknown key",
+    "doc9-/prune/calib_rows: expected int, got bool",
+    "doc10-/bench/hardware/bytes_per_param: expected int, got float",
+    "doc11-/gen/max_new_tokens: expected int, got bool",
+    "doc12-/seed: expected int, got bool",
+    "doc13-/model: expected an object",
+    "doc14-/: expected an object",
+    "doc15-/bench/repeats: unknown key",
+    "doc16-/bench/warmups: unknown key",
+    "doc17-/seed: expected >= 0, got -1",
+    "doc18-/gen: max_new_tokens must be >= 0, got -1",
+    "doc19-/gen: temperature must be >= 0, got -0.5",
+    "doc20-/train/base_lr: expected > 0, got -0.01",
+    "doc21-/train/base_lr: expected > 0, got 0",
+    "doc22-/train/warmup_ratio: expected in [0, 1), got 1",
+    "doc23-/train/warmup_ratio: expected in [0, 1), got -0.1",
+    "doc24-/train/max_seq_len: expected >= 2, got 1",
+    "doc25-/train/checkpoint_every: expected >= 0, got -1",
+    "doc26-/train/train_per_kind: expected >= 1, got 0",
+    "doc27-/train/eval_per_kind: expected >= 1, got 0",
+    "doc28-/train/kinds: expected names from ['copy', 'reverse', 'modadd', 'kvlookup']"
+    ", got ['copy', 5]",
+    "doc29-/train/kinds: expected names from ['copy', 'reverse', 'modadd', 'kvlookup']"
+    ", got ['copy', 'sort']",
+    "doc30-/bench/gen_lens: expected positive ints, got ['a']",
+    "doc31-/bench/gen_lens: expected positive ints, got [32, 0]",
+    "doc32-/bench/gen_lens: expected positive ints, got [True]",
+    "doc33-/bench/gen_lens: expected positive ints, got [8.0]",
+    "doc34-/train/kinds: expected a non-empty list without repeats, got []",
+    "doc35-/train/kinds: expected a non-empty list without repeats"
+    ", got ['copy', 'reverse', 'copy']",
+    "doc36-/bench/gen_lens: expected a non-empty list",
+    "doc37-/prune/hardware_round_to: unknown key",
+    "doc38-/seed: expected in [0, 2**128), got 340282366920938463463374607431768211456",
+    "doc39-/gen/seed: unknown key",
+    "doc40-/gen/stop_token: unknown key",
+    "doc41-/train/base_steps: expected >= 1, got 0",
+    "doc42-/train/overfill_steps: expected >= 1, got 0",
+    "doc43-/train/batch_size: expected >= 1, got 0",
+    "doc44-/bench/hardware/peak_flops: expected > 0, got 0",
+    "doc45-/bench/hardware: expected an object",
+    "doc46-/bench/roofline_full_geometry: expected Optional[str], got int",
+    "doc47-/model/head_dim: expected an even number for RoPE, got 7",
+    "doc48-/model: n_heads 3 not divisible by n_kv_heads 2",
+    "vocab-size", "batch-over-data",
+]
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"model": {"mystery": 1}}, "/model/mystery: unknown key"),
     ({"bench": {"hardware": {"watts": 1}}}, "/bench/hardware/watts: unknown key"),
@@ -327,9 +396,9 @@ def test_run_config_accepts_ints_for_floats_and_none_where_optional(tmp_path):
     ([], "/: expected an object"),
     ({"bench": {"repeats": 5}}, "/bench/repeats: unknown key"),
     ({"bench": {"warmups": 2}}, "/bench/warmups: unknown key"),
-    ({"seed": -1}, "/seed: expected >= 0, got -1"),
-    ({"gen": {"max_new_tokens": -1}}, "/gen: max_new_tokens must be >= 0, got -1"),
-    ({"gen": {"temperature": -0.5}}, "/gen: temperature must be >= 0, got -0.5"),
+    ({"seed": -1}, "/seed: expected in [0, 2**128), got -1"),
+    ({"gen": {"max_new_tokens": -1}}, "/gen/max_new_tokens: expected >= 0, got -1"),
+    ({"gen": {"temperature": -0.5}}, "/gen/temperature: expected >= 0, got -0.5"),
     ({"train": {"base_lr": -0.01}}, "/train/base_lr: expected > 0, got -0.01"),
     ({"train": {"base_lr": 0}}, "/train/base_lr: expected > 0, got 0"),
     ({"train": {"warmup_ratio": 1}}, "/train/warmup_ratio: expected in [0, 1), got 1"),
@@ -338,19 +407,19 @@ def test_run_config_accepts_ints_for_floats_and_none_where_optional(tmp_path):
     ({"train": {"checkpoint_every": -1}}, "/train/checkpoint_every: expected >= 0, got -1"),
     ({"train": {"train_per_kind": 0}}, "/train/train_per_kind: expected >= 1, got 0"),
     ({"train": {"eval_per_kind": 0}}, "/train/eval_per_kind: expected >= 1, got 0"),
-    ({"train": {"kinds": ["copy", 5]}}, "/train/kinds: expected names from "
-     "['copy', 'reverse', 'modadd', 'kvlookup'], got ['copy', 5]"),
+    ({"train": {"kinds": ["copy", 5]}}, "/train/kinds: expected tuple[str, ...], got ('copy', 5)"),
     ({"train": {"kinds": ["copy", "sort"]}}, "/train/kinds: expected names from "
-     "['copy', 'reverse', 'modadd', 'kvlookup'], got ['copy', 'sort']"),
-    ({"bench": {"gen_lens": ["a"]}}, "/bench/gen_lens: expected positive ints, got ['a']"),
-    ({"bench": {"gen_lens": [32, 0]}}, "/bench/gen_lens: expected positive ints, got [32, 0]"),
-    ({"bench": {"gen_lens": [True]}}, "/bench/gen_lens: expected positive ints, got [True]"),
-    ({"bench": {"gen_lens": [8.0]}}, "/bench/gen_lens: expected positive ints, got [8.0]"),
-    ({"train": {"kinds": []}}, "/train/kinds: expected a non-empty list without repeats, "
-     "got []"),
+     "('copy', 'reverse', 'modadd', 'kvlookup'), got ('copy', 'sort')"),
+    ({"bench": {"gen_lens": ["a"]}}, "/bench/gen_lens: expected tuple[int, ...], got ('a',)"),
+    ({"bench": {"gen_lens": [32, 0]}},
+     "/bench/gen_lens: expected a non-empty tuple of ints >= 1, got (32, 0)"),
+    ({"bench": {"gen_lens": [True]}}, "/bench/gen_lens: expected tuple[int, ...], got (True,)"),
+    ({"bench": {"gen_lens": [8.0]}}, "/bench/gen_lens: expected tuple[int, ...], got (8.0,)"),
+    ({"train": {"kinds": []}}, "/train/kinds: expected a non-empty tuple without repeats, got ()"),
     ({"train": {"kinds": ["copy", "reverse", "copy"]}}, "/train/kinds: expected a non-empty "
-     "list without repeats, got ['copy', 'reverse', 'copy']"),
-    ({"bench": {"gen_lens": []}}, "/bench/gen_lens: expected a non-empty list"),
+     "tuple without repeats, got ('copy', 'reverse', 'copy')"),
+    ({"bench": {"gen_lens": []}},
+     "/bench/gen_lens: expected a non-empty tuple of ints >= 1, got ()"),
     ({"prune": {"hardware_round_to": 8}}, "/prune/hardware_round_to: unknown key"),
     ({"seed": 2**128},
      "/seed: expected in [0, 2**128), got 340282366920938463463374607431768211456"),
@@ -366,49 +435,15 @@ def test_run_config_accepts_ints_for_floats_and_none_where_optional(tmp_path):
      "/bench/roofline_full_geometry: expected Optional[str], got int"),
     ({"model": {"head_dim": 7}}, "/model/head_dim: expected an even number for RoPE, got 7"),
     ({"model": {"n_heads": 3}}, "/model: n_heads 3 not divisible by n_kv_heads 2"),
-])
+    ({"model": {"vocab_size": 100}},
+     "/model/vocab_size: expected >= 260 (the tokenizer's), got 100"),
+    ({"train": {"train_per_kind": 2, "batch_size": 16}},
+     "/train/batch_size: expected <= train_per_kind x kinds = 8, got 16"),
+], ids=POINTER_CASE_IDS)
 def test_run_config_errors_name_the_json_pointer(tmp_path, doc, message):
     with pytest.raises(DataError) as info:
         load(tmp_path, doc)
-    assert str(info.value) == "invalid run config: " + REWORDED.get(message, message)
-
-
-# Messages reworded when the config classes took over the loader's type and
-# range checks, old -> new; a case above keeps its old message as its id.
-# Arrays are read as tuples, every element is type-checked, and a class
-# reports one field's fault at that field's pointer.
-REWORDED = {
-    "/seed: expected >= 0, got -1": "/seed: expected in [0, 2**128), got -1",
-    "/gen: max_new_tokens must be >= 0, got -1": "/gen/max_new_tokens: expected >= 0, got -1",
-    "/gen: temperature must be >= 0, got -0.5": "/gen/temperature: expected >= 0, got -0.5",
-    "/train/kinds: expected names from ['copy', 'reverse', 'modadd', 'kvlookup'], "
-    "got ['copy', 5]": "/train/kinds: expected tuple[str, ...], got ('copy', 5)",
-    "/train/kinds: expected names from ['copy', 'reverse', 'modadd', 'kvlookup'], "
-    "got ['copy', 'sort']": "/train/kinds: expected names from "
-    "('copy', 'reverse', 'modadd', 'kvlookup'), got ('copy', 'sort')",
-    "/bench/gen_lens: expected positive ints, got ['a']":
-        "/bench/gen_lens: expected tuple[int, ...], got ('a',)",
-    "/bench/gen_lens: expected positive ints, got [32, 0]":
-        "/bench/gen_lens: expected a non-empty tuple of ints >= 1, got (32, 0)",
-    "/bench/gen_lens: expected positive ints, got [True]":
-        "/bench/gen_lens: expected tuple[int, ...], got (True,)",
-    "/bench/gen_lens: expected positive ints, got [8.0]":
-        "/bench/gen_lens: expected tuple[int, ...], got (8.0,)",
-    "/train/kinds: expected a non-empty list without repeats, got []":
-        "/train/kinds: expected a non-empty tuple without repeats, got ()",
-    "/train/kinds: expected a non-empty list without repeats, got ['copy', 'reverse', 'copy']":
-        "/train/kinds: expected a non-empty tuple without repeats, "
-        "got ('copy', 'reverse', 'copy')",
-    "/bench/gen_lens: expected a non-empty list":
-        "/bench/gen_lens: expected a non-empty tuple of ints >= 1, got ()",
-}
-
-
-def test_seed_override_is_range_checked(tmp_path):
-    (tmp_path / "run.json").write_text(json.dumps({"seed": -1}))
-    assert cli.load_run_config(str(tmp_path / "run.json"), seed=2)["seed"] == 2
-    with pytest.raises(DataError, match=r"/seed: expected in \[0, 2\*\*128\), got -5"):
-        cli.load_run_config(str(tmp_path / "run.json"), seed=-5)
+    assert str(info.value) == "invalid run config: " + message
 
 
 def test_run_config_reports_every_error(tmp_path):
@@ -449,58 +484,58 @@ def test_bad_generation_params_exit_2(run_dir, capsys, gen, message):
 
 
 @pytest.mark.parametrize("subcommand", [c for c in cli.COMMANDS if c != "param-count"])
-@pytest.mark.parametrize("doc, args, message", [
-    ({"seed": -1}, (), "/seed: expected in [0, 2**128), got -1"),
-    ({}, ("--seed", "-1"), "/seed: expected in [0, 2**128), got -1"),
-    ({"gen": {"max_new_tokens": -1}}, (), "/gen/max_new_tokens: expected >= 0, got -1"),
-    ({"bench": {"gen_lens": ["a"]}}, (), "/bench/gen_lens: expected tuple[int, ...], got ('a',)"),
-    ({"train": {"kinds": ["copy", 5]}}, (),
-     "/train/kinds: expected tuple[str, ...], got ('copy', 5)"),
-    ({"train": {"base_lr": -0.01}}, (), "/train/base_lr: expected > 0, got -0.01"),
-    ({"train": {"base_lr": float("inf")}}, (),
-     "/train/base_lr: expected a finite number, got inf"),
-    ({"gen": {"temperature": float("nan")}}, (),
+@pytest.mark.parametrize("doc, message", [
+    ({"seed": -1}, "/seed: expected in [0, 2**128), got -1"),
+    ({"gen": {"max_new_tokens": -1}}, "/gen/max_new_tokens: expected >= 0, got -1"),
+    ({"bench": {"gen_lens": ["a"]}}, "/bench/gen_lens: expected tuple[int, ...], got ('a',)"),
+    ({"train": {"kinds": ["copy", 5]}}, "/train/kinds: expected tuple[str, ...], got ('copy', 5)"),
+    ({"train": {"base_lr": -0.01}}, "/train/base_lr: expected > 0, got -0.01"),
+    ({"train": {"base_lr": float("inf")}}, "/train/base_lr: expected a finite number, got inf"),
+    ({"gen": {"temperature": float("nan")}},
      "/gen/temperature: expected a finite number, got nan"),
-    ({"model": {"rope_theta": float("nan")}}, (),
+    ({"model": {"rope_theta": float("nan")}},
      "/model/rope_theta: expected a finite number, got nan"),
-    ({"bench": {"hardware": {"mem_bandwidth": float("-inf")}}}, (),
+    ({"bench": {"hardware": {"mem_bandwidth": float("-inf")}}},
      "/bench/hardware/mem_bandwidth: expected a finite number, got -inf"),
-    ({"train": {"kinds": []}}, (), "/train/kinds: expected a non-empty tuple without repeats"),
-    ({"train": {"kinds": ["copy", "copy"]}}, (),
+    ({"train": {"kinds": []}}, "/train/kinds: expected a non-empty tuple without repeats"),
+    ({"train": {"kinds": ["copy", "copy"]}},
      "/train/kinds: expected a non-empty tuple without repeats, got ('copy', 'copy')"),
-    ({"bench": {"gen_lens": []}}, (),
+    ({"bench": {"gen_lens": []}},
      "/bench/gen_lens: expected a non-empty tuple of ints >= 1, got ()"),
-    ({"prune": {"p_hidden": 2}}, (), "/prune/p_hidden: expected in [0, 1), got 2"),
-    ({"model": {"n_heads": 3}}, (), "/model: n_heads 3 not divisible by n_kv_heads 2"),
-    ({"prune": {"calib_rows": 0}}, (), "/prune/calib_rows: expected >= 1, got 0"),
-    ({"bench": {"hardware": {"peak_flops": 0}}}, (),
+    ({"prune": {"p_hidden": 2}}, "/prune/p_hidden: expected in [0, 1), got 2"),
+    ({"model": {"n_heads": 3}}, "/model: n_heads 3 not divisible by n_kv_heads 2"),
+    ({"prune": {"calib_rows": 0}}, "/prune/calib_rows: expected >= 1, got 0"),
+    ({"bench": {"hardware": {"peak_flops": 0}}},
      "/bench/hardware/peak_flops: expected > 0, got 0"),
-    ({"bench": {"prompt_len": 0}}, (), "/bench/prompt_len: expected >= 1, got 0"),
-    ({"bench": {"batch": 0}}, (), "/bench/batch: expected >= 1, got 0"),
-    ({"prune": {"hardware_round_to": 1024}}, (), "/prune/hardware_round_to: unknown key"),
-    ({"prune": {"p_hidden": 0.99}}, (), "/prune: pruned dims must be >= 1"),
-    ({"bench": {"roofline_full_geometry": "nope.json"}}, (),
+    ({"bench": {"prompt_len": 0}}, "/bench/prompt_len: expected >= 1, got 0"),
+    ({"bench": {"batch": 0}}, "/bench/batch: expected >= 1, got 0"),
+    ({"prune": {"hardware_round_to": 1024}}, "/prune/hardware_round_to: unknown key"),
+    ({"prune": {"p_hidden": 0.99}}, "/prune: pruned dims must be >= 1"),
+    ({"bench": {"roofline_full_geometry": "nope.json"}},
      "/bench/roofline_full_geometry: model config not found"),
-    (b'{"seed": 1\xff}', (), "not valid JSON: 'utf-8' codec can't decode byte 0xff"),
-    ({"seed": 2**128}, (), "/seed: expected in [0, 2**128), got 3402823669209384634633746"),
-    ({}, ("--seed", str(2**128)), "/seed: expected in [0, 2**128), got 34028236692093846346"),
-    ({"train": {"base_steps": 0}}, (), "/train/base_steps: expected >= 1, got 0"),
-    ({"train": {"overfill_steps": 0}}, (), "/train/overfill_steps: expected >= 1, got 0"),
-    ({"train": {"batch_size": 0}}, (), "/train/batch_size: expected >= 1, got 0"),
+    (b'{"seed": 1\xff}', "not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+    ({"seed": 2**128}, "/seed: expected in [0, 2**128), got 3402823669209384634633746"),
+    ({"train": {"base_steps": 0}}, "/train/base_steps: expected >= 1, got 0"),
+    ({"train": {"overfill_steps": 0}}, "/train/overfill_steps: expected >= 1, got 0"),
+    ({"train": {"batch_size": 0}}, "/train/batch_size: expected >= 1, got 0"),
     # An int past the float range is not a finite number either.
-    ({"bench": {"hardware": {"peak_flops": 10**400}}}, (),
+    ({"bench": {"hardware": {"peak_flops": 10**400}}},
      "/bench/hardware/peak_flops: expected a finite number, got 10000000000"),
-], ids=["seed", "seed-flag", "max-new-tokens", "gen-lens", "kinds", "base-lr",
+    # Training would refuse these later, after gen-data had written the data.
+    ({"model": {"vocab_size": 100}}, "/model/vocab_size: expected >= 260"),
+    ({"train": {"train_per_kind": 2, "batch_size": 16}},
+     "/train/batch_size: expected <= train_per_kind x kinds = 8, got 16"),
+], ids=["seed", "max-new-tokens", "gen-lens", "kinds", "base-lr",
         "base-lr-inf", "temperature-nan", "rope-theta-nan", "hardware-inf",
         "kinds-empty", "kinds-repeated", "gen-lens-empty", "p-hidden", "n-heads",
         "calib-rows", "peak-flops", "prompt-len", "batch", "round-to", "p-hidden-empty",
-        "roofline-file", "not-utf8", "seed-2-128", "seed-flag-2-128", "base-steps",
-        "overfill-steps", "batch-size", "peak-flops-huge"])
-def test_out_of_range_run_config_exits_2(run_dir, capsys, subcommand, doc, args, message):
+        "roofline-file", "not-utf8", "seed-2-128", "base-steps",
+        "overfill-steps", "batch-size", "peak-flops-huge", "vocab-size", "batch-over-data"])
+def test_out_of_range_run_config_exits_2(run_dir, capsys, subcommand, doc, message):
     raw = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
     (run_dir / "run.json").write_bytes(raw)
     extra = ("--prompt", "hi") if subcommand == "generate" else ()
-    code = run_cli(run_dir, subcommand, *args, *extra)
+    code = run_cli(run_dir, subcommand, *extra)
     err = capsys.readouterr().err
     assert code == 2 and message in err and "Traceback" not in err
     assert not (run_dir / "data").exists()
@@ -546,8 +581,9 @@ def test_out_naming_an_existing_file_exits_2(tmp_path, capsys):
 
 
 def test_prompt_token_outside_the_model_vocabulary_exits_2(tmp_path, capsys):
-    # A byte-level prompt needs a vocabulary of 260; this model has 100.
-    (tmp_path / "run.json").write_text(json.dumps({"model": {"vocab_size": 100}}))
+    # A byte-level prompt needs a vocabulary of 260; these checkpoints have
+    # 100 (a run config cannot ask for it, see vocab-size above).
+    (tmp_path / "run.json").write_text("{}")
     w = init_model(dataclasses.replace(DESK_CONFIG, vocab_size=100), 0)
     for stem in ("base", "overfill"):
         save_checkpoint(tmp_path / "checkpoints" / f"{stem}.ovfl", w)
@@ -606,6 +642,17 @@ def test_param_count_on_a_model_config_of_the_wrong_json_types_exits_2(tmp_path,
     assert "Traceback" not in captured.err
 
 
+def test_param_count_on_a_model_config_missing_a_key_names_the_file(tmp_path, capsys):
+    # Not a run config: it has keys a run config cannot have.
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({k: v for k, v in DESK_CONFIG.to_dict().items()
+                                if k != "vocab_size"}))
+    code = cli.main(["param-count", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {path}: missing model config keys: ['vocab_size']\n"
+
+
 @pytest.mark.parametrize("doc", [{}, {"seed": 1}], ids=["empty", "seed-only"])
 def test_param_count_reads_a_run_config_without_a_model_section(tmp_path, capsys, doc):
     path = tmp_path / "run.json"
@@ -614,28 +661,17 @@ def test_param_count_reads_a_run_config_without_a_model_section(tmp_path, capsys
     assert capsys.readouterr().out == f"{param_count(DESK_CONFIG)}\n" == "262976\n"
 
 
-def test_param_count_range_checks_the_seed_of_a_run_config(tmp_path, capsys):
-    path = tmp_path / "run.json"
-    path.write_text("{}")
-    code = cli.main(["param-count", "--config", str(path), "--seed", "-5"])
-    captured = capsys.readouterr()
-    assert code == 2 and "/seed: expected in [0, 2**128), got -5" in captured.err
-    assert captured.out == "" and "Traceback" not in captured.err
-
-
-# A count below one in the run config fails at load (in gen-data too, see
-# test_out_of_range_run_config_exits_2); --steps fails when training starts.
-# The data is made first, so either way it is train-base that refuses.
-@pytest.mark.parametrize("train, args", [({"base_steps": 0}, ()),
-                                         ({}, ("--steps", "-3")),
-                                         ({}, ("--steps", "0")),
-                                         ({"batch_size": 0}, ())])
-def test_training_counts_below_one_exit_2(tmp_path, capsys, train, args):
+# A count below one in the run config fails at load, in gen-data too (see
+# test_out_of_range_run_config_exits_2); here the data is made first, so it
+# is train-base that refuses.
+@pytest.mark.parametrize("train", [{"base_steps": 0}, {"batch_size": 0}],
+                         ids=["base-steps", "batch-size"])
+def test_training_counts_below_one_exit_2(tmp_path, capsys, train):
     (tmp_path / "run.json").write_text(json.dumps(TINY_RUN))
     assert run_cli(tmp_path, "gen-data") == 0
     run = {**TINY_RUN, "train": {**TINY_RUN["train"], **train}}
     (tmp_path / "run.json").write_text(json.dumps(run))
-    code = run_cli(tmp_path, "train-base", *args)
+    code = run_cli(tmp_path, "train-base")
     err = capsys.readouterr().err
     assert code == 2 and ">= 1, got" in err and "Traceback" not in err
     assert not (tmp_path / "checkpoints" / "base.ovfl").exists()
@@ -648,7 +684,9 @@ def test_training_counts_below_one_exit_2(tmp_path, capsys, train, args):
 def test_one_training_step_moves_the_weights(tmp_path):
     (tmp_path / "run.json").write_text(json.dumps(TINY_RUN))
     assert run_cli(tmp_path, "gen-data") == 0
-    assert run_cli(tmp_path, "train-base", "--steps", "1") == 0
+    run = {**TINY_RUN, "train": {**TINY_RUN["train"], "base_steps": 1}}
+    (tmp_path / "run.json").write_text(json.dumps(run))
+    assert run_cli(tmp_path, "train-base") == 0
     ckpt = tmp_path / "checkpoints"
     init = init_model(load_config(ckpt / "base.config.json"), TINY_RUN["seed"])
     save_checkpoint(tmp_path / "init.ovfl", init)
@@ -714,3 +752,31 @@ def test_gen_data_rejects_a_roofline_geometry_the_prune_ratios_empty(tmp_path, c
         assert "/bench/roofline_full_geometry: pruned dims must be >= 1" in err
         assert "Traceback" not in err
     assert not (tmp_path / "data").exists() and not (tmp_path / "roofline.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# text that UTF-8 cannot encode
+# ---------------------------------------------------------------------------
+
+# "\udcff" is what an argv byte 0xff decodes to.
+@pytest.mark.parametrize("text", [("--prompt", "\udcff"),
+                                  ("--prompt", "hi", "--system", "\udcff")],
+                         ids=["prompt", "system"])
+def test_generate_on_text_utf8_cannot_encode_exits_2(run_dir, capsys, text):
+    code = run_cli(run_dir, "generate", *text)
+    err = capsys.readouterr().err
+    assert code == 2 and "not valid Unicode" in err and "Traceback" not in err
+
+
+def test_training_on_a_dataset_line_utf8_cannot_encode_exits_2(tmp_path, capsys):
+    (tmp_path / "run.json").write_text(json.dumps(TINY_RUN))
+    assert run_cli(tmp_path, "gen-data") == 0
+    path = tmp_path / "data" / "train_copy.jsonl"
+    header, first, *rest = path.read_text().splitlines()
+    # json.dumps writes the lone surrogate as the escape "\udcff": valid JSON in UTF-8.
+    first = json.dumps({**json.loads(first), "user": "\udcff"})
+    path.write_text("\n".join([header, first, *rest]) + "\n")
+    code = run_cli(tmp_path, "train-base")
+    err = capsys.readouterr().err
+    assert code == 2 and "not valid Unicode" in err and "Traceback" not in err
+    assert not (tmp_path / "checkpoints" / "base.ovfl").exists()

@@ -21,6 +21,11 @@ def test_tokenizer_never_emits_specials_from_text():
     assert all(i < 256 for i in ids)
 
 
+def test_tokenizer_rejects_text_utf8_cannot_encode():
+    with pytest.raises(DataError, match="not valid Unicode"):
+        Tokenizer().tokenize("a\udcffb")
+
+
 def test_detokenize_skips_special_ids():
     tok = Tokenizer()
     assert tok.detokenize([tok.bos, 104, 105, tok.eos, tok.pad]) == "hi"
