@@ -258,18 +258,22 @@ def cmd_generate(args, cfg: dict) -> int:
 
 
 def cmd_eval(args, cfg: dict) -> int:
+    """Score every kind of train.kinds, or with --kind just that one, whose
+    entry then replaces its own in an existing eval_<mode>.json."""
     run_dir = Path(args.out)
+    allowed = cfg["train"].kinds
+    if args.kind is not None and args.kind not in allowed:
+        raise ConfigError(f"--kind {args.kind!r}: expected one of train.kinds {list(allowed)}")
     tok = Tokenizer()
     prefill_w, decode_w = _decode_weights_for_mode(run_dir, args.mode)
-    kinds = [args.kind] if args.kind else cfg["train"].kinds
-    results = {}
-    for kind in kinds:
+    out = run_dir / f"eval_{args.mode}.json"
+    results = read_json_object(out, "eval results") if args.kind and out.exists() else {}
+    for kind in [args.kind] if args.kind else allowed:
         examples = load_dataset(_require(run_dir / "data" / f"eval_{kind}.jsonl",
                                          f"eval data for {kind}"))
         acc = evaluate_exact_match(prefill_w, decode_w, examples, tok)
         results[kind] = {"exact_match": acc, "n": len(examples)}
         print(f"eval[{args.mode}] {kind}: exact match {acc * 100:.1f}% ({len(examples)} examples)")
-    out = run_dir / f"eval_{args.mode}.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(results, sort_keys=True, indent=2) + "\n")
     return 0

@@ -55,7 +55,7 @@ def sample(logits, temperature: float, rng: np.random.Generator) -> int:
     arr = logits.numpy() if hasattr(logits, "numpy") else np.asarray(logits)
     arr = arr.reshape(-1)
     if temperature == 0:
-        return int(np.argmax(arr))
+        return int(arr.argmax())
     z = arr.astype(np.float64) / temperature
     z -= z.max()
     p = np.exp(z)

@@ -130,7 +130,7 @@ class KVCache:
         old lengths; the caller fills positions [old length, new length).
         A claim past the capacity raises DataError and extends no row."""
         old = self.row_lens
-        new = [lo + c for lo, c in zip(old, counts)]
+        new = [old[0] + counts[0]] if len(old) == 1 else [lo + c for lo, c in zip(old, counts)]
         if max(new) > self.capacity:
             raise DataError(f"a block of {counts} positions after {old} overflows "
                             f"the cache capacity {self.capacity}")
@@ -268,15 +268,15 @@ def _row_layout(history: list[int], counts: list[int], dtype):
     head dim), are the block's own K/V positions in packed order. When
     every row has the same history and count, each block ends its row, the
     rows share one [T, S] causal mask (None for T = 1) and attend needs no
-    slots. Otherwise the mask is [B, Tmax, S] and the slots are
-    (qslot, kv_at), qslot[n] being token n's flat index in the [B, Tmax]
-    query grid.
+    slots; the positions of one row are a range. Otherwise the mask is
+    [B, Tmax, S] and the slots are (qslot, kv_at), qslot[n] being token n's
+    flat index in the [B, Tmax] query grid.
     """
     h, t, b = history[0], counts[0], len(counts)
     if b == 1 or (history.count(h) == b and counts.count(t) == b):
         width = h + t
-        positions = np.arange(h, width)
-        mask = None if t == 1 else np.where(np.arange(width) <= positions[:, None],
+        positions = range(h, width)
+        mask = None if t == 1 else np.where(np.arange(width) <= np.arange(h, width)[:, None],
                                              0.0, tk.NEG_MASK).astype(dtype)
         if b > 1:
             positions = np.tile(positions, b)
@@ -293,7 +293,8 @@ def _row_layout(history: list[int], counts: list[int], dtype):
 
 def run_block(w: Weights, tokens: Sequence[int], cache: KVCache,
               tap: Optional[TapFn] = None,
-              row_lens: Optional[Sequence[int]] = None) -> Tensor:
+              row_lens: Optional[Sequence[int]] = None,
+              cache_only: bool = False) -> Optional[Tensor]:
     """Causal forward over a packed block of tokens appended after the
     history of each cache row.
 
@@ -304,6 +305,8 @@ def run_block(w: Weights, tokens: Sequence[int], cache: KVCache,
     row, written into the cache before each layer attends over it. History
     entries already in the cache enter attention as constants, so no
     gradient can flow into them; a row never attends to another row.
+    With cache_only, the block only fills the cache: the pass stops once
+    the last layer has written its K/V, and returns None.
     The optional tap observes (layer, point, activation) at the three
     channel-scoring points: "pre_attn", "pre_ffn", "ffn_inner".
     """
@@ -314,16 +317,21 @@ def run_block(w: Weights, tokens: Sequence[int], cache: KVCache,
     ids = np.asarray(tokens, dtype=np.int64)
     if ids.size == 0:
         raise DataError("token block must be non-empty")
-    if ids.min() < 0 or ids.max() >= cfg.vocab_size:
+    # One token is checked as a Python int: numpy's reductions cost more there.
+    bounds = ids.tolist() if ids.size == 1 else (ids.min(), ids.max())
+    if min(bounds) < 0 or max(bounds) >= cfg.vocab_size:
         raise DataError(f"token id out of range for vocab {cfg.vocab_size}")
     n_rows = len(cache.row_lens)
-    counts = ([ids.size] + [0] * (n_rows - 1) if row_lens is None
-              else [int(c) for c in row_lens])
-    if len(counts) != n_rows or min(counts) < 0 or sum(counts) != ids.size:
-        raise DataError(f"row lengths {counts} do not split {ids.size} tokens "
-                        f"over {n_rows} cache rows")
+    if row_lens is None:
+        counts = [ids.size] + [0] * (n_rows - 1)
+    else:
+        counts = [int(c) for c in row_lens]
+        if len(counts) != n_rows or min(counts) < 0 or sum(counts) != ids.size:
+            raise DataError(f"row lengths {counts} do not split {ids.size} tokens "
+                            f"over {n_rows} cache rows")
 
     dh = cfg.head_dim
+    last = len(w.layers) - 1
     history = cache.append_block(counts)
     positions, width, mask, slots, kv_at, kv_lead = _row_layout(
         history, counts, w.token_embedding.dtype)
@@ -335,13 +343,17 @@ def run_block(w: Weights, tokens: Sequence[int], cache: KVCache,
             h = tk.rms_norm(x, lw.attn_norm_gamma, cfg.norm_eps)
             if tap is not None:
                 tap(li, "pre_attn", h.data)
-            q = tk.rope_rows(tk.matmul(h, lw.w_q), rot)
+            # q before k and v: a taped block sums h's gradients in the reverse of
+            # this order, so another order would change the trained weights' bits.
+            stop = cache_only and li == last   # the pass ends at this layer's K/V
+            q = None if stop else tk.rope_rows(tk.matmul(h, lw.w_q), rot)
             k = tk.rope_rows(tk.matmul(h, lw.w_k), rot)
             v = tk.matmul(h, lw.w_v)
-
             keys, values = cache.block_view(li, width)
             keys[kv_at] = k.data.reshape(kv_shape)
             values[kv_at] = v.data.reshape(kv_shape)
+            if stop:
+                return None
             mixed = tk.attend(q, k, v, keys, values, cfg.n_heads, cfg.n_kv_heads, dh,
                               mask=mask, slots=slots)
             x = tk.add(x, tk.matmul(mixed, lw.w_o))
@@ -366,19 +378,16 @@ def lm_logits(w: Weights, hidden: Tensor) -> Tensor:
     return tk.matmul_nt(hidden, w.token_embedding)
 
 
-def forward_prefill(w: Weights, tokens: Sequence[int],
-                    cache: KVCache) -> tuple[Tensor, Tensor, KVCache]:
-    """Parallel pass over a prompt, filling an empty cache.
+def forward_prefill(w: Weights, tokens: Sequence[int], cache: KVCache) -> KVCache:
+    """Parallel pass over a prompt that fills an empty cache and returns it.
 
-    Returns (last position's post-norm hidden [D], its logits [vocab], cache).
+    Only the cache is written: the pass stops after the last layer's K/V
+    (run_block's cache_only), since the decoder makes the first token.
     """
     if cache.filled_len != 0:
         raise ValueError(f"forward_prefill requires an empty cache, filled_len={cache.filled_len}")
-    hidden = run_block(w, tokens, cache)
-    last = tk.slice_rows(hidden, hidden.shape[0] - 1, hidden.shape[0])
-    logits = lm_logits(w, last)
-    return (tk.reshape(last, (w.config.hidden_dim,)),
-            tk.reshape(logits, (w.config.vocab_size,)), cache)
+    run_block(w, tokens, cache, cache_only=True)
+    return cache
 
 
 def decode_step(w: Weights, token: int, cache: KVCache,

@@ -7,10 +7,21 @@ its output and its gradients: numpy scalar constants are cast to it first,
 since a float64 scalar would promote float32 arrays to float64. All
 reductions run with a fixed serial order for a given build and thread
 count, so identical inputs give bit-identical outputs across runs.
+
+An op none of whose inputs requires grad (frozen weights and the
+activations they make, as in every decode step) checks its shapes, makes
+its numpy calls and wraps the result in a plain Tensor; it builds no
+backward closure or input tuple and never looks at the tape, so a
+one-token step costs little more than its numpy calls. An op with an input
+that requires grad returns a Tensor that requires grad and, inside a
+GradTape, records its backward rule there. 2-D products go through
+ndarray.dot, which makes the BLAS call `@` makes with less dispatch and
+gives the same bits.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -104,20 +115,38 @@ class GradTape:
 _TAPE_STACK: list[GradTape] = []
 
 
+# The ops a decode step runs most (matmul, matmul_nt, add, mul, silu,
+# rms_norm, rope_rows) write _arr and _grad out in place: a Python call costs
+# a sizeable share of what their numpy work does on one row.
 def _arr(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
+    return x.data if x.__class__ is Tensor else np.asarray(x)
 
 
-def _emit(data: np.ndarray, inputs: Sequence, backward: Callable) -> Tensor:
-    out = Tensor.__new__(Tensor)  # hot path: skip ctor dtype inference
-    out.data = np.asarray(data)
+def _grad(a, b=None) -> bool:
+    """Whether a or b is a Tensor that requires grad."""
+    return (a.__class__ is Tensor and a.requires_grad) or (
+        b.__class__ is Tensor and b.requires_grad)
+
+
+_new = object.__new__  # a Tensor without the constructor's dtype inference
+
+
+def _plain(data: np.ndarray) -> Tensor:
+    """The result of an op none of whose inputs requires grad."""
+    out = _new(Tensor)
+    out.data = data
     out.requires_grad = False
-    for x in inputs:  # a plain loop: any(<genexpr>) costs more on every op
-        if isinstance(x, Tensor) and x.requires_grad:
-            out.requires_grad = True
-            if _TAPE_STACK:
-                _TAPE_STACK[-1].nodes.append(_Node(out, tuple(inputs), backward))
-            break
+    return out
+
+
+def _emit(data: np.ndarray, inputs: tuple, backward: Callable) -> Tensor:
+    """The result of an op some input of which requires grad, recorded on
+    the innermost active tape."""
+    out = _new(Tensor)
+    out.data = data
+    out.requires_grad = True
+    if _TAPE_STACK:
+        _TAPE_STACK[-1].nodes.append(_Node(out, inputs, backward))
     return out
 
 
@@ -160,66 +189,80 @@ def grad_of(loss: Tensor, tape: GradTape, params: Iterable[Tensor]) -> dict:
 
 def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
     """Matrix product of a [m, k] and b [k, n]."""
-    av, bv = _arr(a), _arr(b)
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {av.shape} x {bv.shape}")
-    out = av @ bv
-
-    def backward(g):
-        return g @ bv.T, av.T @ g
-
-    return _emit(out, (a, b), backward)
+    av = a.data if a.__class__ is Tensor else np.asarray(a)
+    bv = b.data if b.__class__ is Tensor else np.asarray(b)
+    try:  # dot's own ValueError checks the inner dimensions
+        if av.ndim != 2 or bv.ndim != 2:
+            raise ValueError
+        out = av.dot(bv)  # ndarray.dot: the same BLAS call as @, with less dispatch
+    except ValueError:
+        raise ShapeError(f"matmul: incompatible shapes {av.shape} x {bv.shape}") from None
+    if not (a.__class__ is Tensor and a.requires_grad
+            or b.__class__ is Tensor and b.requires_grad):
+        return _plain(out)
+    return _emit(out, (a, b), lambda g: (g @ bv.T, av.T @ g))
 
 
 def matmul_nt(a: ArrayLike, b: ArrayLike) -> Tensor:
     """a @ b.T for a [m, k] and b [n, k]; avoids materializing transposes."""
-    av, bv = _arr(a), _arr(b)
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[1]:
-        raise ShapeError(f"matmul_nt: incompatible shapes {av.shape} x {bv.shape}^T")
-    out = av @ bv.T
-
-    def backward(g):
-        return g @ bv, g.T @ av
-
-    return _emit(out, (a, b), backward)
+    av = a.data if a.__class__ is Tensor else np.asarray(a)
+    bv = b.data if b.__class__ is Tensor else np.asarray(b)
+    try:
+        if av.ndim != 2 or bv.ndim != 2:
+            raise ValueError
+        out = av.dot(bv.T)
+    except ValueError:
+        raise ShapeError(
+            f"matmul_nt: incompatible shapes {av.shape} x {bv.shape}^T") from None
+    if not (a.__class__ is Tensor and a.requires_grad
+            or b.__class__ is Tensor and b.requires_grad):
+        return _plain(out)
+    return _emit(out, (a, b), lambda g: (g @ bv, g.T @ av))
 
 
 def add(a: ArrayLike, b: ArrayLike) -> Tensor:
     """Elementwise sum of two arrays of one shape."""
-    av, bv = _arr(a), _arr(b)
+    av = a.data if a.__class__ is Tensor else np.asarray(a)
+    bv = b.data if b.__class__ is Tensor else np.asarray(b)
     if av.shape != bv.shape:
         raise ShapeError(f"add: shapes {av.shape} and {bv.shape} differ")
-    return _emit(av + bv, (a, b), lambda g: (g, g))
+    out = np.asarray(av + bv)  # 0-d operands give a numpy scalar
+    if not (a.__class__ is Tensor and a.requires_grad
+            or b.__class__ is Tensor and b.requires_grad):
+        return _plain(out)
+    return _emit(out, (a, b), lambda g: (g, g))
 
 
 def mul(a: ArrayLike, b: ArrayLike) -> Tensor:
     """Elementwise product of two arrays of one shape."""
-    av, bv = _arr(a), _arr(b)
+    av = a.data if a.__class__ is Tensor else np.asarray(a)
+    bv = b.data if b.__class__ is Tensor else np.asarray(b)
     if av.shape != bv.shape:
         raise ShapeError(f"mul: shapes {av.shape} and {bv.shape} differ")
-    return _emit(av * bv, (a, b), lambda g: (g * bv, g * av))
+    out = np.asarray(av * bv)
+    if not (a.__class__ is Tensor and a.requires_grad
+            or b.__class__ is Tensor and b.requires_grad):
+        return _plain(out)
+    return _emit(out, (a, b), lambda g: (g * bv, g * av))
 
 
 def scale(a: ArrayLike, c: float) -> Tensor:
     av = _arr(a)
     c = float(c)
-
-    def backward(g):
-        return (g * c,)
-
-    return _emit(av * av.dtype.type(c), (a,), backward)
+    out = np.asarray(av * av.dtype.type(c))
+    if not _grad(a):
+        return _plain(out)
+    return _emit(out, (a,), lambda g: (g * c,))
 
 
 def silu(a: ArrayLike) -> Tensor:
     """x * sigmoid(x), the gate nonlinearity of the FFN."""
-    av = _arr(a)
+    av = a.data if a.__class__ is Tensor else np.asarray(a)
     sig = 1.0 / (1.0 + np.exp(-av))
-    out = av * sig
-
-    def backward(g):
-        return (g * (sig * (1.0 + av * (1.0 - sig))),)
-
-    return _emit(out, (a,), backward)
+    out = np.asarray(av * sig)
+    if not (a.__class__ is Tensor and a.requires_grad):
+        return _plain(out)
+    return _emit(out, (a,), lambda g: (g * (sig * (1.0 + av * (1.0 - sig))),))
 
 
 def softmax_rows(a: ArrayLike) -> Tensor:
@@ -228,6 +271,8 @@ def softmax_rows(a: ArrayLike) -> Tensor:
     shifted = av - av.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=-1, keepdims=True)
+    if not _grad(a):
+        return _plain(p)
 
     def backward(g):
         inner = (g * p).sum(axis=-1, keepdims=True)
@@ -238,17 +283,26 @@ def softmax_rows(a: ArrayLike) -> Tensor:
 
 def rms_norm(x: ArrayLike, gamma: ArrayLike, eps: float) -> Tensor:
     """Divide each last-axis vector by its root-mean-square, then scale by gamma."""
-    xv, gv = _arr(x), _arr(gamma)
-    if gv.ndim != 1 or xv.shape[-1] != gv.shape[0]:
+    xv = x.data if x.__class__ is Tensor else np.asarray(x)
+    gv = gamma.data if gamma.__class__ is Tensor else np.asarray(gamma)
+    d = gv.size
+    if gv.ndim != 1 or xv.shape[-1] != d:
         raise ShapeError(f"rms_norm: x {xv.shape} vs gamma {gv.shape}")
-    d = xv.shape[-1]
     # np.mean's sum and divide without its Python wrapper. Bit-identical:
     # np.mean divides by an intp count, so in float64, and a float32 quotient
     # rounded through float64 (53 >= 2*24 + 2 bits) is the one rounded directly.
-    ms = np.add.reduce(xv * xv, axis=-1, keepdims=True)
-    ms /= d
+    if xv.size == d:
+        # One row: the same sum over the same d contiguous values, and the
+        # scale in dtype scalars, whose arithmetic rounds as the arrays' does.
+        ms = np.add.reduce(xv * xv, axis=None) / d
+    else:
+        ms = np.add.reduce(xv * xv, axis=-1, keepdims=True)
+        ms /= d
     inv = 1.0 / np.sqrt(ms + eps)
     out = xv * inv * gv
+    if not (x.__class__ is Tensor and x.requires_grad
+            or gamma.__class__ is Tensor and gamma.requires_grad):
+        return _plain(out)
 
     def backward(g):
         # y_j = x_j * g_j * r^{-1};  dr/dx_k = x_k / (d * r)
@@ -266,7 +320,8 @@ _COMPLEX = {np.dtype(np.float32): np.dtype(np.complex64),
             np.dtype(np.float64): np.dtype(np.complex128)}
 
 # Rotation factors cos + i*sin per (head_dim, theta_base, dtype): row p holds
-# position p. Grown by doubling; the values depend only on the key.
+# position p. Grown by doubling; the values depend only on the key. Read-only,
+# since rope_factors hands out slices of it.
 _ROPE_TABLES: dict = {}
 
 
@@ -279,6 +334,7 @@ def _rope_table(n: int, head_dim: int, theta_base: float, dtype) -> np.ndarray:
         ang = np.arange(size, dtype=np.float64)[:, None] * inv_freq[None, :]
         table = np.empty(ang.shape, dtype=np.result_type(dtype, np.complex64))
         table.real, table.imag = np.cos(ang), np.sin(ang)
+        table.flags.writeable = False
         _ROPE_TABLES[key] = table
     return table
 
@@ -288,9 +344,14 @@ def rope_factors(positions: Sequence[int], head_dim: int, theta_base: float,
     """Rotation factors cos + i*sin of rope_rows for a block whose row t sits
     at absolute position positions[t]: a complex [T, 1, head_dim/2] array
     matching float dtype `dtype`, looked up once and shared by every head
-    and every layer of the block."""
+    and every layer of the block. A range of step 1 is a slice of the table."""
     if head_dim % 2 != 0:
         raise ShapeError(f"rope: head_dim must be even, got {head_dim}")
+    if isinstance(positions, range) and positions.step == 1:
+        lo, hi = positions.start, positions.stop
+        if lo < 0:
+            raise ShapeError(f"rope: positions must be >= 0, got {lo}")
+        return _rope_table(hi, head_dim, theta_base, np.dtype(dtype))[lo:hi, None]
     pos = np.asarray(positions)
     if pos.ndim != 1:
         raise ShapeError(f"rope: positions must be 1-D, got {pos.shape}")
@@ -309,23 +370,22 @@ def rope_rows(x: ArrayLike, rot: np.ndarray) -> Tensor:
     Each pair (x[2j], x[2j+1]) is rotated as the complex number
     x[2j] + i*x[2j+1].
     """
-    xv = _arr(x)
+    xv = x.data if x.__class__ is Tensor else np.asarray(x)
     half = rot.shape[-1]
     if (xv.ndim != 2 or xv.shape[1] % (2 * half) != 0 or rot.shape != (xv.shape[0], 1, half)
             or rot.dtype != _COMPLEX.get(xv.dtype)):
         raise ShapeError(f"rope: {xv.dtype} rows {xv.shape} do not match {rot.dtype} "
                          f"factors {rot.shape}")
-    t, width = xv.shape
-    n_heads = width // (2 * half)
+    if not (x.__class__ is Tensor and x.requires_grad):
+        return _plain(_turn(xv, rot))
+    return _emit(_turn(xv, rot), (x,), lambda g: (_turn(g, rot.conj()),))
 
-    def turn(a, r):
-        ac = np.ascontiguousarray(a).view(r.dtype).reshape(t, n_heads, half)
-        return (ac * r).view(a.dtype).reshape(t, width)
 
-    def backward(g):
-        return (turn(g, rot.conj()),)
-
-    return _emit(turn(xv, rot), (x,), backward)
+def _turn(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Rows a [T, width] with each head's pairs turned by r [T, 1, half]."""
+    t, width = a.shape
+    c = np.ascontiguousarray(a).view(r.dtype).reshape(t, -1, r.shape[2])
+    return (c * r).view(a.dtype).reshape(t, width)
 
 
 def embedding(weight: ArrayLike, ids: Sequence[int]) -> Tensor:
@@ -336,6 +396,8 @@ def embedding(weight: ArrayLike, ids: Sequence[int]) -> Tensor:
     if idx.ndim != 1:
         raise ShapeError(f"embedding: ids must be 1-D, got {idx.shape}")
     out = wv[idx]
+    if not _grad(weight):
+        return _plain(out)
 
     def backward(g):
         gw = np.zeros_like(wv)
@@ -347,6 +409,8 @@ def embedding(weight: ArrayLike, ids: Sequence[int]) -> Tensor:
 
 def slice_rows(a: ArrayLike, lo: int, hi: int) -> Tensor:
     av = _arr(a)
+    if not _grad(a):
+        return _plain(av[lo:hi])
 
     def backward(g):
         ga = np.zeros_like(av)
@@ -358,21 +422,19 @@ def slice_rows(a: ArrayLike, lo: int, hi: int) -> Tensor:
 
 def reshape(a: ArrayLike, shape: Sequence[int]) -> Tensor:
     av = _arr(a)
+    out = av.reshape(shape)
+    if not _grad(a):
+        return _plain(out)
     old = av.shape
-
-    def backward(g):
-        return (g.reshape(old),)
-
-    return _emit(av.reshape(tuple(shape)), (a,), backward)
+    return _emit(out, (a,), lambda g: (g.reshape(old),))
 
 
 def sum_all(a: ArrayLike) -> Tensor:
     av = _arr(a)
-
-    def backward(g):
-        return (np.full_like(av, g.reshape(())[()]),)
-
-    return _emit(np.asarray(av.sum(dtype=av.dtype), dtype=av.dtype), (a,), backward)
+    out = np.asarray(av.sum(dtype=av.dtype), dtype=av.dtype)
+    if not _grad(a):
+        return _plain(out)
+    return _emit(out, (a,), lambda g: (np.full_like(av, g.reshape(())[()]),))
 
 
 def _query_grid(x: np.ndarray, qslot, grid: tuple) -> np.ndarray:
@@ -410,35 +472,42 @@ def attend(q: ArrayLike, k: ArrayLike, v: ArrayLike, keys: np.ndarray,
     kv head h // (n_heads // n_kv_heads). mask, when given, is an additive
     [T, S] array, or [B, Tmax, S] with slots. Returns [N, n_heads*head_dim].
     """
-    qv, kv_ = _arr(q), _arr(k)
-    n = qv.shape[0]
-    b, s = keys.shape[:2]
+    qv, kv_, vv = _arr(q), _arr(k), _arr(v)
+    n, kv_rows, cache_rows = qv.shape[0], kv_.shape, keys.shape
+    b, s = cache_rows[:2]
     qslot, kv_at = slots if slots is not None else (None, None)
     t = n // b if slots is None else (0 if mask is None else mask.shape[1])
-    if (qv.shape != (n, n_heads * head_dim) or kv_.shape != (n, n_kv_heads * head_dim)
-            or _arr(v).shape != kv_.shape):
-        raise ShapeError(f"attend: bad q/k/v shapes {qv.shape}, {kv_.shape}, {_arr(v).shape}")
-    if (keys.shape[2:] != (n_kv_heads, head_dim) or values.shape != keys.shape
+    if (qv.shape != (n, n_heads * head_dim) or kv_rows != (n, n_kv_heads * head_dim)
+            or vv.shape != kv_rows):
+        raise ShapeError(f"attend: bad q/k/v shapes {qv.shape}, {kv_rows}, {vv.shape}")
+    if (cache_rows != (b, s, n_kv_heads, head_dim) or values.shape != cache_rows
             or not 0 < t <= s or (mask is not None and mask.shape[-2:] != (t, s))):
-        raise ShapeError(f"attend: keys/values {keys.shape}, {values.shape} and mask "
+        raise ShapeError(f"attend: keys/values {cache_rows}, {values.shape} and mask "
                          f"{None if mask is None else mask.shape} for a block of {n}")
-    grid = (b, t, n_kv_heads, n_heads // n_kv_heads, head_dim)
-    alpha = qv.dtype.type(1.0 / np.sqrt(head_dim))
+    group = n_heads // n_kv_heads
+    grid = (b, t, n_kv_heads, group, head_dim)
+    # A Python float: numpy rounds it to the scores' dtype, as it would a
+    # dtype scalar, and never promotes float32 scores to float64.
+    alpha = 1.0 / math.sqrt(head_dim)
+    # One query per row lays the grid out in packed order already.
+    one = t == 1 and qslot is None
 
     # One [group*T, dh] @ [dh, S] product per (row, kv head).
-    q4 = _query_grid(qv, qslot, grid)
-    k4 = keys.transpose(0, 2, 1, 3)                       # [B, Hkv, S, dh]
-    v4 = values.transpose(0, 2, 1, 3)
-    scores = q4 @ k4.swapaxes(-1, -2)                     # [B, Hkv, G*T, S]
+    q4 = qv.reshape(b, n_kv_heads, group, head_dim) if one else _query_grid(qv, qslot, grid)
+    v4 = values.transpose(0, 2, 1, 3)                     # [B, Hkv, S, dh]
+    scores = q4 @ keys.transpose(0, 2, 3, 1)              # [B, Hkv, G*T, S]
     scores *= alpha
     if mask is not None:
-        s5 = scores.reshape(b, n_kv_heads, grid[3], t, s)
+        s5 = scores.reshape(b, n_kv_heads, group, t, s)
         s5 += mask if slots is None else mask[:, None, None]
     # Softmax in place: one score-sized array at a time bounds peak memory.
     scores -= scores.max(axis=-1, keepdims=True)
     p = np.exp(scores, out=scores)
     p /= p.sum(axis=-1, keepdims=True)
-    out = _packed_rows(p @ v4, qslot, grid)
+    out = p @ v4
+    out = out.reshape(n, -1) if one else _packed_rows(out, qslot, grid)
+    if not (_grad(q, k) or _grad(v)):
+        return _plain(out)
 
     def backward(g):
         g4 = _query_grid(g, qslot, grid)
@@ -446,12 +515,12 @@ def attend(q: ArrayLike, k: ArrayLike, v: ArrayLike, keys: np.ndarray,
         gv_all = p.swapaxes(-1, -2) @ g4
         gs -= (gs * p).sum(axis=-1, keepdims=True)
         gs *= p
-        gq = (gs @ k4) * alpha
+        gq = (gs @ keys.transpose(0, 2, 1, 3)) * alpha
         gk_all = (gs.swapaxes(-1, -2) @ q4) * alpha
         at = (slice(None), slice(s - t, s)) if slots is None else kv_at
         return (_packed_rows(gq, qslot, grid),
-                gk_all.transpose(0, 2, 1, 3)[at].reshape(n, kv_.shape[1]),
-                gv_all.transpose(0, 2, 1, 3)[at].reshape(n, kv_.shape[1]))
+                gk_all.transpose(0, 2, 1, 3)[at].reshape(kv_rows),
+                gv_all.transpose(0, 2, 1, 3)[at].reshape(kv_rows))
 
     return _emit(out, (q, k, v), backward)
 
@@ -474,6 +543,8 @@ def cross_entropy_rows(logits: ArrayLike, targets: Sequence[int]) -> Tensor:
     lse = (m + np.log(z)).reshape(-1)
     picked = lv[np.arange(lv.shape[0]), idx]
     out = lse - picked
+    if not _grad(logits):
+        return _plain(out)
 
     def backward(g):
         p = e / z

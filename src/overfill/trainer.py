@@ -223,7 +223,8 @@ def _batch_loss_rows(prefill_w: Optional[Weights], decode_w: Weights,
     prompt, block = cols < lo, (cols >= lo) & (cols < ends)
     cache = KVCache.for_config(decode_w.config, cols.size, dtype=dtype, rows=batch.size)
     if prompt.any():
-        run_block(prefill_w, batch.token_ids[prompt], cache, row_lens=prompt.sum(axis=1))
+        run_block(prefill_w, batch.token_ids[prompt], cache, row_lens=prompt.sum(axis=1),
+                  cache_only=True)
     hidden = run_block(decode_w, batch.token_ids[block], cache, row_lens=block.sum(axis=1))
     ce = tk.cross_entropy_rows(lm_logits(decode_w, hidden), batch.targets[block])
     msk = batch.loss_mask[block]

@@ -151,6 +151,26 @@ def test_train_pruned_trains_pruned_init_alone_on_the_overfill_batches(trained_r
     assert trained.checksum() != cli._load_model(trained_run, "pruned_init").checksum()
 
 
+def test_eval_kind_replaces_only_its_own_entry(trained_run):
+    assert run_cli(trained_run, "eval", "--mode", "full") == 0
+    path = trained_run / "eval_full.json"
+    whole = json.loads(path.read_text())
+    assert set(whole) == {"copy", "kvlookup"}
+    path.write_text(json.dumps(dict(whole, copy={"exact_match": -1.0, "n": 0})))
+    assert run_cli(trained_run, "eval", "--mode", "full", "--kind", "copy") == 0
+    assert json.loads(path.read_text()) == whole
+
+
+@pytest.mark.parametrize("kind", ["nope", "reverse"])
+def test_eval_kind_outside_train_kinds_exits_2(trained_run, capsys, kind):
+    # "reverse" is a task kind, but not one of this run's train.kinds.
+    code = run_cli(trained_run, "eval", "--mode", "overfill", "--kind", kind)
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert f"--kind '{kind}'" in err and "['copy', 'kvlookup']" in err
+    assert not (trained_run / "eval_overfill.json").exists()
+
+
 def test_train_pruned_before_prune_exits_2(tmp_path, capsys):
     (tmp_path / "run.json").write_text(json.dumps(TINY_RUN))
     assert run_cli(tmp_path, "gen-data") == 0

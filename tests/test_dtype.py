@@ -14,8 +14,7 @@ import pytest
 from overfill import tensor as tk
 from overfill import trainer as tr
 from overfill.corpus import TASK_KINDS, Tokenizer, gen_tasks
-from overfill.model import (DESK_CONFIG, KVCache, decode_step, forward_prefill,
-                            init_model, lm_logits, run_block)
+from overfill.model import DESK_CONFIG, KVCache, decode_step, init_model, lm_logits, run_block
 from overfill.tensor import GradTape, Tensor, grad_of
 
 from helpers import cache_row
@@ -92,7 +91,8 @@ def test_forward_entry_points_keep_dtype(dt):
     assert lm_logits(w, hidden).dtype == dt
 
     cache = KVCache.for_config(DESK_CONFIG, len(tokens) + 1, dtype=dt)
-    last, logits, _ = forward_prefill(w, tokens, cache)
+    hidden = run_block(w, tokens, cache)
+    last, logits = hidden.numpy()[-1], lm_logits(w, hidden).numpy()[-1]
     assert last.dtype == dt and logits.dtype == dt
     logits, _ = decode_step(w, 7, cache, cache.filled_len)
     assert logits.dtype == dt

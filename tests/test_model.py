@@ -79,8 +79,10 @@ def test_prefill_fills_cache_and_shapes():
     w = init_model(DESK_CONFIG, seed=0)
     tokens = random_tokens(np.random.default_rng(0), 9)
     cache = KVCache.for_config(DESK_CONFIG, len(tokens))
-    last, logits, out_cache = forward_prefill(w, tokens, cache)
-    assert out_cache.filled_len == len(tokens)
+    out_cache = forward_prefill(w, tokens, cache)
+    assert out_cache is cache and out_cache.filled_len == len(tokens)
+    hidden = run_block(w, tokens, KVCache.for_config(DESK_CONFIG, len(tokens)))
+    last, logits = hidden.numpy()[-1], lm_logits(w, hidden).numpy()[-1]
     assert last.shape == (DESK_CONFIG.hidden_dim,)
     assert logits.shape == (DESK_CONFIG.vocab_size,)
 
@@ -112,7 +114,7 @@ def test_incremental_decode_matches_batched_prefill():
     tokens = random_tokens(np.random.default_rng(1), 12)
 
     batched = KVCache.for_config(DESK_CONFIG, len(tokens))
-    _, logits_batched, _ = forward_prefill(w, tokens, batched)
+    logits_batched = lm_logits(w, run_block(w, tokens, batched)).numpy()[-1]
 
     incremental = KVCache.for_config(DESK_CONFIG, len(tokens))
     for pos, t in enumerate(tokens):
@@ -121,7 +123,7 @@ def test_incremental_decode_matches_batched_prefill():
     for layer in range(DESK_CONFIG.n_layers):
         for a, b in zip(cache_row(batched, layer), cache_row(incremental, layer)):
             assert np.abs(a - b).max() < 1e-5
-    assert np.abs(logits_batched.numpy() - logits_inc.numpy()).max() < 1e-5
+    assert np.abs(logits_batched - logits_inc.numpy()).max() < 1e-5
 
 
 def test_decode_continues_prefill_positions():
@@ -131,15 +133,53 @@ def test_decode_continues_prefill_positions():
     x, y = random_tokens(rng, 7), random_tokens(rng, 5)
 
     joint = KVCache.for_config(DESK_CONFIG, len(x + y))
-    _, joint_logits, _ = forward_prefill(w, x + y, joint)
+    joint_logits = lm_logits(w, run_block(w, x + y, joint)).numpy()[-1]
 
     split = KVCache.for_config(DESK_CONFIG, len(x + y))
     forward_prefill(w, x, split)
     for i, t in enumerate(y):
         logits, _ = decode_step(w, t, split, len(x) + i)
-    assert np.abs(joint_logits.numpy() - logits.numpy()).max() < 1e-5
+    assert np.abs(joint_logits - logits.numpy()).max() < 1e-5
     for layer in range(DESK_CONFIG.n_layers):
         assert np.abs(cache_row(joint, layer)[0] - cache_row(split, layer)[0]).max() < 1e-5
+
+
+def test_prefill_writes_the_cache_a_whole_block_writes():
+    # The cache-only pass stops after the last layer's K/V; the cache it
+    # leaves is the one the whole pass leaves, bit for bit, for one row and
+    # for ragged rows.
+    w = init_model(DESK_CONFIG, seed=11)
+    rng = np.random.default_rng(11)
+    tokens = random_tokens(rng, 10)
+    short, whole = KVCache.for_config(DESK_CONFIG, 12), KVCache.for_config(DESK_CONFIG, 12)
+    assert forward_prefill(w, tokens, short) is short
+    run_block(w, tokens, whole)
+    packed = random_tokens(rng, 9)
+    short_rows = KVCache.for_config(DESK_CONFIG, 6, rows=3)
+    whole_rows = KVCache.for_config(DESK_CONFIG, 6, rows=3)
+    assert run_block(w, packed, short_rows, row_lens=[4, 0, 5], cache_only=True) is None
+    run_block(w, packed, whole_rows, row_lens=[4, 0, 5])
+    for a, b in ((short, whole), (short_rows, whole_rows)):
+        assert a.row_lens == b.row_lens
+        for layer in range(DESK_CONFIG.n_layers):
+            for got, want in zip(a.block_view(layer, a.capacity), b.block_view(layer, b.capacity)):
+                np.testing.assert_array_equal(got, want)
+
+
+def test_frozen_decode_step_is_the_taped_one_bit_for_bit():
+    frozen = init_model(DESK_CONFIG, seed=12).freeze()
+    taped = frozen.clone().set_requires_grad(True)
+    prompt = random_tokens(np.random.default_rng(12), 9)
+    logits, recorded = {}, {}
+    for name, w in (("frozen", frozen), ("taped", taped)):
+        cache = KVCache.for_config(DESK_CONFIG, len(prompt) + 3)
+        forward_prefill(w, prompt, cache)
+        with tk.GradTape() as tape:
+            steps = [decode_step(w, tok, cache, cache.filled_len)[0] for tok in (7, 8, 9)]
+        logits[name] = [t.numpy().tobytes() for t in steps]
+        recorded[name] = len(tape.nodes)
+    assert logits["frozen"] == logits["taped"]
+    assert recorded["frozen"] == 0 < recorded["taped"]
 
 
 def test_decode_step_position_mismatch_errors():
@@ -364,9 +404,9 @@ def test_permuting_prompt_tokens_changes_last_logits():
     swapped = list(tokens)
     swapped[2], swapped[5] = swapped[5], swapped[2]
     assert swapped != tokens
-    _, a, _ = forward_prefill(w, tokens, KVCache.for_config(DESK_CONFIG, len(tokens)))
-    _, b, _ = forward_prefill(w, swapped, KVCache.for_config(DESK_CONFIG, len(swapped)))
-    assert not (a.numpy() == b.numpy()).all()
+    a = lm_logits(w, run_block(w, tokens, KVCache.for_config(DESK_CONFIG, len(tokens))))
+    b = lm_logits(w, run_block(w, swapped, KVCache.for_config(DESK_CONFIG, len(swapped))))
+    assert not (a.numpy()[-1] == b.numpy()[-1]).all()
 
 
 # ---------------------------------------------------------------------------

@@ -326,3 +326,63 @@ def test_frozen_inputs_record_nothing():
     with GradTape() as tape:
         tk.matmul(a, np.ones((2, 2)))
     assert tape.nodes == []
+
+
+# ---------------------------------------------------------------------------
+# fast paths: bit for bit what the general forms compute
+# ---------------------------------------------------------------------------
+
+# (k, n) of every product of a decode step at DESK_CONFIG (hidden 64, attention
+# 64, kv 32, FFN 256, vocab 260) and at the 72.4M-parameter mid geometry
+# (hidden 768, attention 768, kv 256, FFN 3072, vocab 4096), each full and
+# with hidden and FFN widths halved, as the benchmark prunes them.
+PRODUCT_SHAPES = [(64, 64), (64, 32), (64, 256), (256, 64), (64, 260),
+                  (32, 64), (32, 32), (32, 128), (128, 32), (32, 260),
+                  (768, 768), (768, 256), (768, 3072), (3072, 768), (768, 4096),
+                  (384, 768), (384, 256), (768, 384), (384, 1536), (1536, 384), (384, 4096)]
+
+
+@pytest.mark.parametrize("m", [1, 36, 255])
+@pytest.mark.parametrize("k,n", PRODUCT_SHAPES)
+def test_matmul_is_the_at_operator_bit_for_bit(m, k, n):
+    a = rng(m).normal(size=(m, k)).astype(np.float32)
+    b = rng(k + n).normal(size=(k, n)).astype(np.float32)
+    assert np.array_equal(tk.matmul(a, b).numpy(), a @ b)
+    bt = np.ascontiguousarray(b.T)
+    assert np.array_equal(tk.matmul_nt(a, bt).numpy(), a @ bt.T)
+
+
+@pytest.mark.parametrize("dt", [np.float32, np.float64])
+def test_rope_factors_of_a_range_are_those_of_its_positions(dt):
+    for lo, hi in ((0, 5), (7, 8), (60, 200)):
+        view = tk.rope_factors(range(lo, hi), 16, 1e4, dt)
+        np.testing.assert_array_equal(view, tk.rope_factors(list(range(lo, hi)), 16, 1e4, dt))
+        assert not view.flags.writeable   # a slice of the shared table
+    with pytest.raises(ShapeError, match="positions must be >= 0"):
+        tk.rope_factors(range(-1, 2), 4, 1e4, dt)
+
+
+@pytest.mark.parametrize("dt", [np.float32, np.float64])
+def test_one_row_rms_norm_is_row_0_of_the_block(dt):
+    x = rng(30).normal(size=(5, 64)).astype(dt)
+    gamma = rng(31).normal(size=64).astype(dt)
+    block = tk.rms_norm(x, gamma, 1e-5).numpy()
+    assert np.array_equal(tk.rms_norm(x[:1], gamma, 1e-5).numpy(), block[:1])
+
+
+@pytest.mark.parametrize("dt", [np.float32, np.float64])
+def test_one_query_attend_is_row_0_of_the_query_grid(dt):
+    # Three cache rows, one query each. Given as slots, the block goes
+    # through the [B, Tmax] query grid; row 0 alone is a one-query call.
+    n_heads, n_kv, dh, s = 4, 2, 16, 9
+    q = rng(32).normal(size=(3, n_heads * dh)).astype(dt)
+    k = rng(33).normal(size=(3, n_kv * dh)).astype(dt)
+    v = rng(34).normal(size=(3, n_kv * dh)).astype(dt)
+    keys = rng(35).normal(size=(3, s, n_kv, dh)).astype(dt)
+    values = rng(36).normal(size=(3, s, n_kv, dh)).astype(dt)
+    rows = np.arange(3)
+    slots = (rows, (rows, np.full(3, s - 1)))
+    grid = tk.attend(q, k, v, keys, values, n_heads, n_kv, dh,
+                     mask=np.zeros((3, 1, s), dt), slots=slots).numpy()
+    one = tk.attend(q[:1], k[:1], v[:1], keys[:1], values[:1], n_heads, n_kv, dh).numpy()
+    assert np.array_equal(one, grid[:1])
