@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .checkpoint import (load_checkpoint, load_config, read_json_object, save_checkpoint,
                          save_config)
 from .corpus import (ChatExample, Tokenizer, format_chat, gen_tasks,
@@ -184,14 +185,11 @@ def cmd_gen_data(args, cfg: dict) -> int:
     return 0
 
 
-def _train(args, cfg: dict, prefill_w, w, tag: str, steps_key: str, data_seed: int) -> int:
-    """Train w (behind prefill_w when given) for the config's `steps_key`
-    count, and save it under `tag`."""
-    steps = getattr(cfg["train"], steps_key)
+def _train(args, cfg: dict, prefill_w, w, tag: str, steps: int, data_seed: int) -> int:
+    """Train w (behind prefill_w when given) for `steps` steps; save it as `tag`."""
     run_dir = Path(args.out)
-    rows = run_training(
-        prefill_w, w, _train_examples(cfg, run_dir), Tokenizer(), cfg["train"], steps=steps,
-        data_seed=data_seed, checkpoint_fn=lambda s: _save_model(run_dir, f"{tag}_step{s}", w))
+    rows = run_training(prefill_w, w, _train_examples(cfg, run_dir), Tokenizer(), cfg["train"],
+                        steps=steps, data_seed=data_seed)
     _save_model(run_dir, tag, w)
     write_training_log(run_dir / f"logs_{tag}.csv", rows)
     print(f"{args.subcommand}: {steps} steps, final loss {rows[-1].loss:.4f} "
@@ -201,7 +199,7 @@ def _train(args, cfg: dict, prefill_w, w, tag: str, steps_key: str, data_seed: i
 
 def cmd_train_base(args, cfg: dict) -> int:
     w = init_model(cfg["model"], cfg["seed"])
-    return _train(args, cfg, None, w, "base", "base_steps", cfg["seed"] + 1)
+    return _train(args, cfg, None, w, "base", cfg["train"].base_steps, cfg["seed"] + 1)
 
 
 def cmd_prune(args, cfg: dict) -> int:
@@ -225,14 +223,15 @@ def cmd_train_pruned(args, cfg: dict) -> int:
     # The pruned baseline: the same step count and batches as train-overfill,
     # so the two decoders differ only in which model prefilled.
     w = _load_model(Path(args.out), "pruned_init")
-    return _train(args, cfg, None, w, "pruned", "overfill_steps", cfg["seed"] + 2)
+    return _train(args, cfg, None, w, "pruned", cfg["train"].overfill_steps, cfg["seed"] + 2)
 
 
 def cmd_train_overfill(args, cfg: dict) -> int:
     run_dir = Path(args.out)
     full_w = _load_model(run_dir, "base")
     pruned_w = _load_model(run_dir, "pruned_init")
-    return _train(args, cfg, full_w, pruned_w, "overfill", "overfill_steps", cfg["seed"] + 2)
+    return _train(args, cfg, full_w, pruned_w, "overfill", cfg["train"].overfill_steps,
+                  cfg["seed"] + 2)
 
 
 def _decode_weights_for_mode(run_dir: Path, mode: str):
@@ -304,7 +303,7 @@ def cmd_roofline(args, cfg: dict) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="overfill",
                      description="Full-model prefill, pruned-model decode.")
-    parser.add_argument("--version", action="version", version="%(prog)s 0.1.0")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     for name in COMMANDS:

@@ -182,7 +182,6 @@ class Weights:
     layers: list[LayerWeights]
     final_norm_gamma: Tensor
     lm_head: Optional[Tensor] = None  # None when tied to token_embedding
-    frozen: bool = False
 
     @classmethod
     def build(cls, config: ModelConfig,
@@ -215,7 +214,7 @@ class Weights:
         return self
 
     def freeze(self) -> "Weights":
-        self.frozen = True
+        """Frozen weights: no tensor requires grad, so no op over them is taped."""
         return self.set_requires_grad(False)
 
     def param_count(self) -> int:
@@ -233,9 +232,7 @@ class Weights:
             t = self.tensor(name)
             return Tensor(t.data.copy(), requires_grad=t.requires_grad)
 
-        out = Weights.build(self.config, copy)
-        out.frozen = self.frozen
-        return out
+        return Weights.build(self.config, copy)
 
 
 def init_model(config: ModelConfig, seed: int, dtype=np.float32) -> Weights:

@@ -1,11 +1,13 @@
 """Teacher-forcing training with loss restricted to response tokens.
 
 One step, two regimes:
-  * with a prefill model: a frozen full model writes the prompt cache (no
-    tape is recorded for it, so the cache boundary is a structural
-    stop-gradient) and only the pruned decoder is updated;
+  * with a prefill model: a frozen full model, no tensor of which requires
+    grad, writes the prompt cache (no tape is recorded for it, so the cache
+    boundary is a structural stop-gradient) and only the pruned decoder is
+    updated;
   * without one: one model processes the whole sequence and is updated
     everywhere; used to fit the base model and the pruned baseline.
+The model being updated must have every tensor requiring grad.
 
 Targets live in their own array so masked-out label positions can be
 perturbed without touching the inputs; the loss must not move.
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +38,6 @@ class TrainConfig:
     max_seq_len: int = 96
     base_steps: int = 600
     overfill_steps: int = 300
-    checkpoint_every: int = 0  # save every this many steps; 0 never does
     kinds: tuple[str, ...] = TASK_KINDS
     train_per_kind: int = 2000
     eval_per_kind: int = 100
@@ -50,7 +51,6 @@ class TrainConfig:
             ("max_seq_len", self.max_seq_len >= 2, ">= 2"),
             ("base_steps", self.base_steps >= 1, ">= 1"),
             ("overfill_steps", self.overfill_steps >= 1, ">= 1"),
-            ("checkpoint_every", self.checkpoint_every >= 0, ">= 0"),
             ("kinds", set(self.kinds) <= set(TASK_KINDS), f"names from {TASK_KINDS}"),
             ("kinds", 0 < len(self.kinds) == len(set(self.kinds)),
              "a non-empty tuple without repeats"),
@@ -236,18 +236,19 @@ def _batch_loss_rows(prefill_w: Optional[Weights], decode_w: Weights,
 
 def train_step(prefill_w: Optional[Weights], w: Weights, batch: TrainBatch,
                opt: OptState) -> tuple[Weights, OptState, float]:
-    """One update of w. With a (frozen) prefill model, it writes each row's
-    prompt cache and w is trained on the response block that follows;
-    without one, w processes and is trained on whole rows."""
+    """One update of w, every tensor of which must require grad. With a
+    prefill model, which must be frozen (no tensor of it requires grad), it
+    writes each row's prompt cache and w is trained on the response block
+    that follows; without one, w processes and is trained on whole rows."""
     if prefill_w is not None:
-        if not prefill_w.frozen:
+        if any(t.requires_grad for t in prefill_w.tensors()):
             raise ValueError("full model must be frozen for two-model training")
         check_handoff(prefill_w.config, w.config)
-    if w.frozen:
+    params = w.tensors()
+    if not all(t.requires_grad for t in params):
         raise ValueError("cannot train a frozen model")
     with GradTape() as tape:
         loss = _batch_loss_rows(prefill_w, w, batch)
-    params = w.tensors()
     grads = grad_of(loss, tape, params)
     opt.lr = _adam_update(params, grads, opt)
     return w, opt, loss.item()
@@ -281,12 +282,10 @@ def _batch_stream(n_examples: int, batch_size: int, seed: int):
 
 def run_training(prefill_w: Optional[Weights], w: Weights,
                  examples: Sequence[ChatExample], tok: Tokenizer, train: TrainConfig,
-                 *, steps: int, data_seed: int,
-                 checkpoint_fn: Optional[Callable[[int], None]] = None,
-                 ) -> list[TrainLogRow]:
-    """Train w for `steps` steps over reshuffled batches, behind a frozen
-    prefill model when one is given (see train_step), calling checkpoint_fn
-    with the step number every train.checkpoint_every steps."""
+                 *, steps: int, data_seed: int) -> list[TrainLogRow]:
+    """Train w for `steps` steps over reshuffled batches, behind a prefill
+    model when one is given (see train_step). Once its inputs are checked,
+    it freezes the prefill model and makes every tensor of w require grad."""
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
     if train.batch_size > len(examples):
@@ -304,6 +303,4 @@ def run_training(prefill_w: Optional[Weights], w: Weights,
         _, _, loss = train_step(prefill_w, w, batch, opt)
         tokens_seen += int(batch.row_lengths.sum())
         rows.append(TrainLogRow(step, opt.lr, loss, tokens_seen))
-        if train.checkpoint_every and checkpoint_fn and step % train.checkpoint_every == 0:
-            checkpoint_fn(step)
     return rows

@@ -5,10 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
 
+import overfill
 from overfill import cli
 from overfill.checkpoint import load_config, save_checkpoint, save_config
 from overfill.corpus import Tokenizer, pack_calibration_batches
@@ -218,6 +220,16 @@ OPTIONS = {
 }
 
 
+def test_version_is_the_package_and_project_version(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--version"])
+    assert info.value.code == 0
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert capsys.readouterr().out == f"overfill {overfill.__version__}\n"
+    assert overfill.__version__ == project["version"]
+
+
 def test_subcommand_options_match_the_table():
     (sub,) = [a for a in cli.build_parser()._actions
               if isinstance(a, argparse._SubParsersAction)]
@@ -242,7 +254,7 @@ RUN_CONFIG_KEYS = """
 /prune/p_hidden /prune/p_intermediate /prune/calib_batches /prune/calib_rows
 /prune/calib_seq_len
 /train/base_lr /train/warmup_ratio /train/batch_size /train/max_seq_len /train/base_steps
-/train/overfill_steps /train/checkpoint_every /train/kinds /train/train_per_kind
+/train/overfill_steps /train/kinds /train/train_per_kind
 /train/eval_per_kind
 /gen/max_new_tokens /gen/temperature
 /bench/prompt_len /bench/gen_lens /bench/batch /bench/hardware/peak_flops
@@ -264,7 +276,7 @@ def test_run_config_keys_match_the_table():
     keys = ["/seed"] + [key for name, default in cli.RUN_SECTIONS.items()
                         for key in _leaf_keys(default, f"/{name}")]
     assert keys == RUN_CONFIG_KEYS
-    assert len(RUN_CONFIG_KEYS) == 35
+    assert len(RUN_CONFIG_KEYS) == 34
 
 
 @pytest.mark.parametrize("make", [
@@ -424,7 +436,7 @@ POINTER_CASE_IDS = [
     ({"train": {"warmup_ratio": 1}}, "/train/warmup_ratio: expected in [0, 1), got 1"),
     ({"train": {"warmup_ratio": -0.1}}, "/train/warmup_ratio: expected in [0, 1), got -0.1"),
     ({"train": {"max_seq_len": 1}}, "/train/max_seq_len: expected >= 2, got 1"),
-    ({"train": {"checkpoint_every": -1}}, "/train/checkpoint_every: expected >= 0, got -1"),
+    ({"train": {"checkpoint_every": 2}}, "/train/checkpoint_every: unknown key"),
     ({"train": {"train_per_kind": 0}}, "/train/train_per_kind: expected >= 1, got 0"),
     ({"train": {"eval_per_kind": 0}}, "/train/eval_per_kind: expected >= 1, got 0"),
     ({"train": {"kinds": ["copy", 5]}}, "/train/kinds: expected tuple[str, ...], got ('copy', 5)"),
@@ -530,6 +542,7 @@ def test_bad_generation_params_exit_2(run_dir, capsys, gen, message):
     ({"bench": {"prompt_len": 0}}, "/bench/prompt_len: expected >= 1, got 0"),
     ({"bench": {"batch": 0}}, "/bench/batch: expected >= 1, got 0"),
     ({"prune": {"hardware_round_to": 1024}}, "/prune/hardware_round_to: unknown key"),
+    ({"train": {"checkpoint_every": 2}}, "/train/checkpoint_every: unknown key"),
     ({"prune": {"p_hidden": 0.99}}, "/prune: pruned dims must be >= 1"),
     ({"bench": {"roofline_full_geometry": "nope.json"}},
      "/bench/roofline_full_geometry: model config not found"),
@@ -548,8 +561,8 @@ def test_bad_generation_params_exit_2(run_dir, capsys, gen, message):
 ], ids=["seed", "max-new-tokens", "gen-lens", "kinds", "base-lr",
         "base-lr-inf", "temperature-nan", "rope-theta-nan", "hardware-inf",
         "kinds-empty", "kinds-repeated", "gen-lens-empty", "p-hidden", "n-heads",
-        "calib-rows", "peak-flops", "prompt-len", "batch", "round-to", "p-hidden-empty",
-        "roofline-file", "not-utf8", "seed-2-128", "base-steps",
+        "calib-rows", "peak-flops", "prompt-len", "batch", "round-to", "checkpoint-every",
+        "p-hidden-empty", "roofline-file", "not-utf8", "seed-2-128", "base-steps",
         "overfill-steps", "batch-size", "peak-flops-huge", "vocab-size", "batch-over-data"])
 def test_out_of_range_run_config_exits_2(run_dir, capsys, subcommand, doc, message):
     raw = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
@@ -714,12 +727,12 @@ def test_one_training_step_moves_the_weights(tmp_path):
 
 
 def test_the_last_training_step_moves_the_weights(tmp_path):
-    run = {**TINY_RUN, "train": {**TINY_RUN["train"], "checkpoint_every": 2}}
-    (tmp_path / "run.json").write_text(json.dumps(run))
+    # Every step, the last included, updates at a nonzero learning rate; that
+    # the last update changes the weights is test_trainer's
+    # test_the_third_of_three_steps_moves_the_decoder.
+    (tmp_path / "run.json").write_text(json.dumps(TINY_RUN))
     assert run_cli(tmp_path, "gen-data") == 0
     assert run_cli(tmp_path, "train-base") == 0
-    ckpt = tmp_path / "checkpoints"
-    assert (ckpt / "base.ovfl").read_bytes() != (ckpt / "base_step2.ovfl").read_bytes()
     log = list(csv.DictReader(open(tmp_path / "logs_base.csv", newline="")))
     assert len(log) == 3 and all(float(row["lr"]) > 0 for row in log)
 

@@ -447,10 +447,9 @@ def test_forward_is_finite_on_trained_scale_inputs():
 # ---------------------------------------------------------------------------
 
 def test_freeze_marks_and_detaches():
-    w = init_model(DESK_CONFIG, seed=0)
-    w.freeze()
-    assert w.frozen
-    assert all(not t.requires_grad for t in w.tensors())
+    w = init_model(DESK_CONFIG, seed=0).set_requires_grad(True)
+    assert w.freeze() is w
+    assert not any(t.requires_grad for t in w.tensors())
 
 
 def test_clone_is_deep():

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from overfill.checkpoint import load_checkpoint, save_checkpoint
 from overfill.corpus import ChatExample, Tokenizer, format_chat, gen_mixture, gen_tasks
 from overfill.errors import DataError
 from overfill import tensor as tk
@@ -256,13 +257,67 @@ def make_pair(cfg, seed=0, dtype=np.float32):
 
 
 def test_train_step_requires_frozen_full():
+    # One full-model tensor that requires grad is enough to refuse the pair,
+    # before anything is updated.
     cfg = desk_small()
     full, pruned = make_pair(cfg)
+    full.freeze().layers[-1].w_down.requires_grad = True
     batch = build_batch(tiny_examples(4), TOK, 96)
     opt = OptState.for_weights(pruned, 1e-3, 0.0, 10)
     pruned.set_requires_grad(True)
-    with pytest.raises(ValueError, match="frozen"):
+    before = pruned.checksum()
+    with pytest.raises(ValueError, match="full model must be frozen"):
         train_step(full, pruned, batch, opt)
+    assert pruned.checksum() == before and opt.step == 0
+
+
+def test_a_loaded_model_never_frozen_is_a_prefill_model(tmp_path):
+    # A loaded model's tensors require no grad, so it prefills as it is.
+    cfg = desk_small()
+    full, pruned = make_pair(cfg, seed=8)
+    save_checkpoint(tmp_path / "full.ovfl", full)
+    loaded = load_checkpoint(tmp_path / "full.ovfl", cfg)
+    assert not any(t.requires_grad for t in loaded.tensors())
+    pruned.set_requires_grad(True)
+    before = loaded.checksum()
+    opt = OptState.for_weights(pruned, 1e-3, 0.0, 10)
+    _, _, loss = train_step(loaded, pruned, build_batch(tiny_examples(4), TOK, 96), opt)
+    assert math.isfinite(loss) and opt.step == 1
+    assert loaded.checksum() == before
+
+
+@pytest.mark.parametrize("frozen", ["all", "one"])
+def test_train_step_refuses_a_decoder_with_a_tensor_that_requires_no_grad(frozen):
+    w = init_model(desk_small(), seed=13).set_requires_grad(frozen == "one")
+    w.final_norm_gamma.requires_grad = False
+    opt = OptState.for_weights(w, 1e-3, 0.0, 10)
+    with pytest.raises(ValueError, match="cannot train a frozen model"):
+        train_step(None, w, build_batch(tiny_examples(4), TOK, 96), opt)
+    assert opt.step == 0
+
+
+def test_a_frozen_model_trains_once_its_tensors_require_grad():
+    w = init_model(desk_small(), seed=14).freeze().set_requires_grad(True)
+    before = w.checksum()
+    opt = OptState.for_weights(w, 1e-3, 0.0, 10)
+    train_step(None, w, build_batch(tiny_examples(4), TOK, 96), opt)
+    assert w.checksum() != before
+
+
+def test_the_third_of_three_steps_moves_the_decoder():
+    # The schedule ends at total_steps, but the last step's update is still
+    # taken at a nonzero learning rate.
+    cfg = desk_small()
+    full, pruned = make_pair(cfg, seed=10)
+    full.freeze()
+    pruned.set_requires_grad(True)
+    batch = build_batch(tiny_examples(4, seed=11), TOK, 96)
+    opt = OptState.for_weights(pruned, 1e-3, TrainConfig().warmup_ratio, 3)
+    for _ in range(2):
+        train_step(full, pruned, batch, opt)
+    before = pruned.checksum()
+    train_step(full, pruned, batch, opt)
+    assert opt.lr > 0 and pruned.checksum() != before
 
 
 def test_train_step_loss_decreases_on_fixed_batch():
@@ -387,11 +442,14 @@ def test_write_training_log(tmp_path):
 
 
 def test_run_training_checks_its_inputs_before_touching_the_weights():
+    # Both models start opposite to how run_training leaves them, so an
+    # early freeze() or set_requires_grad(True) would show.
     full, pruned = make_pair(desk_small(), seed=2)
+    full.set_requires_grad(True)
     with pytest.raises(DataError, match="exceeds dataset size"):
         run_training(full, pruned, tiny_examples(4), TOK, TrainConfig(batch_size=64),
                      steps=1, data_seed=0)
-    assert not full.frozen
+    assert all(t.requires_grad for t in full.tensors())
     assert not any(t.requires_grad for t in pruned.tensors())
 
 
